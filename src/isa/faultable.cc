@@ -117,12 +117,6 @@ FaultableSet::erase(FaultableKind kind)
     bits_ &= ~(1u << static_cast<unsigned>(kind));
 }
 
-bool
-FaultableSet::contains(FaultableKind kind) const
-{
-    return bits_ & (1u << static_cast<unsigned>(kind));
-}
-
 int
 FaultableSet::count() const
 {

@@ -102,7 +102,11 @@ class FaultableSet
     /** Remove a kind from the set. */
     void erase(FaultableKind kind);
     /** Membership test. */
-    bool contains(FaultableKind kind) const;
+    bool
+    contains(FaultableKind kind) const
+    {
+        return bits_ & (1u << static_cast<unsigned>(kind));
+    }
     /** Number of kinds in the set. */
     int count() const;
     /** True if no kind is in the set. */

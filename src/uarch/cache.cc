@@ -1,5 +1,7 @@
 #include "uarch/cache.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace suit::uarch {
@@ -23,22 +25,10 @@ Cache::Cache(const Config &config, Cache *parent)
     SUIT_ASSERT(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
                 "cache '%s': set count must be a power of two",
                 cfg_.name.c_str());
+    lineShift_ = std::countr_zero(
+        static_cast<unsigned>(cfg_.lineBytes));
+    setShift_ = std::countr_zero(numSets_);
     lines_.assign(lines, Line{});
-}
-
-std::size_t
-Cache::setIndex(std::uint64_t addr) const
-{
-    return static_cast<std::size_t>(
-        (addr / static_cast<std::uint64_t>(cfg_.lineBytes)) &
-        (numSets_ - 1));
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t addr) const
-{
-    return addr / static_cast<std::uint64_t>(cfg_.lineBytes) /
-           numSets_;
 }
 
 int

@@ -64,12 +64,25 @@ class Cache
     Cache *parent_;
     std::vector<Line> lines_;
     std::size_t numSets_;
+    /** log2(lineBytes) and log2(numSets_): both are powers of two. */
+    int lineShift_;
+    int setShift_;
     std::uint64_t useClock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 
-    std::size_t setIndex(std::uint64_t addr) const;
-    std::uint64_t tagOf(std::uint64_t addr) const;
+    std::size_t
+    setIndex(std::uint64_t addr) const
+    {
+        return static_cast<std::size_t>(addr >> lineShift_) &
+               (numSets_ - 1);
+    }
+
+    std::uint64_t
+    tagOf(std::uint64_t addr) const
+    {
+        return addr >> lineShift_ >> setShift_;
+    }
 };
 
 /** The Table 5 memory system: L1I + L1D -> shared LLC -> DRAM. */

@@ -77,6 +77,9 @@ struct Inst
     }
     /** True for control-flow instructions. */
     bool isBranch() const { return op == OpClass::Branch; }
+
+    /** Field-wise equality (padding bytes are not compared). */
+    bool operator==(const Inst &other) const = default;
 };
 
 } // namespace suit::uarch

@@ -1,7 +1,11 @@
 #include "uarch/o3_model.hh"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
+#include <thread>
 
+#include "exec/bounded_queue.hh"
 #include "util/logging.hh"
 
 namespace suit::uarch {
@@ -85,7 +89,8 @@ class Window
     push(Cycle c)
     {
         buf_[head_] = c;
-        head_ = (head_ + 1) % buf_.size();
+        if (++head_ == buf_.size())
+            head_ = 0;
     }
 
   private:
@@ -97,6 +102,19 @@ class Window
 
 CoreStats
 O3Model::run(const Program &program)
+{
+    bool served = false;
+    return run(program.codeFootprintBytes,
+               [&]() -> std::span<const Inst> {
+                   if (served)
+                       return {};
+                   served = true;
+                   return program.insts;
+               });
+}
+
+CoreStats
+O3Model::run(std::uint64_t code_footprint_bytes, const InstSource &next)
 {
     CoreStats stats;
 
@@ -128,11 +146,19 @@ O3Model::run(const Program &program)
     Cycle alarm_at = 0;
     Cycle alarm_reload = 0;
     const std::uint64_t code_sites =
-        std::max<std::uint64_t>(1, program.codeFootprintBytes / 4);
+        std::max<std::uint64_t>(1, code_footprint_bytes / 4);
+    std::uint64_t site = 0; //!< seq % code_sites, without the division
 
-    const std::size_t n = program.insts.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Inst &inst = program.insts[i];
+    std::span<const Inst> chunk;
+    std::size_t pos = 0;
+    for (std::uint64_t seq = 0;; ++seq) {
+        if (pos == chunk.size()) {
+            chunk = next();
+            pos = 0;
+            if (chunk.empty())
+                break;
+        }
+        const Inst &inst = chunk[pos++];
         ++stats.classCounts[static_cast<std::size_t>(inst.op)];
 
         // Deadline alarm: fire before this instruction if the
@@ -144,7 +170,9 @@ O3Model::run(const Program &program)
         }
 
         // ---- Fetch ---------------------------------------------
-        const std::uint64_t pc = 0x400000 + (i % code_sites) * 4;
+        const std::uint64_t pc = 0x400000 + site * 4;
+        if (++site == code_sites)
+            site = 0;
         Cycle fetch = std::max(fetch_ready, fetch_bw.oldest() + 1);
         // Instruction cache: charge the line fill on a miss.
         const int ic_lat = mem_.instAccess(pc);
@@ -170,8 +198,7 @@ O3Model::run(const Program &program)
                         "#DO raised with no trap handler installed");
             const Cycle drained = std::max(dispatch, last_commit);
             const UarchTrapAction action =
-                handler_(*inst.faultable, static_cast<std::uint64_t>(i),
-                         drained);
+                handler_(*inst.faultable, seq, drained);
             trap_done = drained +
                         static_cast<Cycle>(cfg_.trapPenalty) +
                         action.extraCycles;
@@ -301,8 +328,57 @@ runMixAtImulLatency(const ProgramMix &mix, std::size_t count,
     CoreConfig cfg;
     cfg.setImulLatency(imul_latency);
     O3Model core(cfg);
-    const Program prog = ProgramGenerator(seed).generate(mix, count);
-    return core.run(prog);
+
+    // kSlots chunk buffers circulate: the producer copies each
+    // generated chunk into a spare buffer and queues it on `filled`;
+    // the timing loop reads it in place and hands it back through
+    // `spare` when it asks for the next.
+    constexpr std::size_t kSlots = 4;
+    using Chunk = std::vector<Inst>;
+    suit::exec::BoundedQueue<Chunk> filled(kSlots);
+    suit::exec::BoundedQueue<Chunk> spare(kSlots);
+    for (std::size_t i = 0; i < kSlots; ++i)
+        spare.push(Chunk{});
+    std::exception_ptr error;
+    std::jthread producer([&] {
+        try {
+            ProgramGenerator(seed).stream(
+                mix, count, kProgramChunkInsts,
+                [&](std::span<const Inst> part) {
+                    std::optional<Chunk> chunk = spare.pop();
+                    if (!chunk)
+                        return; // the timing loop has gone
+                    chunk->assign(part.begin(), part.end());
+                    filled.push(std::move(*chunk));
+                });
+        } catch (...) {
+            error = std::current_exception();
+        }
+        filled.close();
+    });
+
+    std::optional<Chunk> current;
+    CoreStats stats;
+    try {
+        stats = core.run(
+            mix.codeFootprintBytes, [&]() -> std::span<const Inst> {
+                if (current)
+                    spare.push(std::move(*current));
+                current = filled.pop();
+                if (!current)
+                    return {};
+                return *current;
+            });
+    } catch (...) {
+        // Release a producer waiting for a spare buffer, so that the
+        // jthread's join on the way out cannot hang.
+        spare.close();
+        throw;
+    }
+    producer.join();
+    if (error)
+        std::rethrow_exception(error);
+    return stats;
 }
 
 } // namespace suit::uarch

@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "isa/faultable.hh"
@@ -155,8 +156,23 @@ class O3Model
      */
     void setAlarmTouchSet(suit::isa::FaultableSet set);
 
+    /**
+     * Supplies a program in chunks: each call returns the next
+     * chunk, or an empty span once the program is exhausted.  A
+     * chunk must stay valid until the following call.
+     */
+    using InstSource = std::function<std::span<const Inst>()>;
+
     /** Run a program to completion and return the statistics. */
     CoreStats run(const Program &program);
+
+    /**
+     * Run the instructions @p next supplies as one program whose code
+     * wraps inside @p code_footprint_bytes.  The statistics equal
+     * those of run() on the concatenated chunks.
+     */
+    CoreStats run(std::uint64_t code_footprint_bytes,
+                  const InstSource &next);
 
     /** The memory hierarchy (for stats inspection after run()). */
     const MemoryHierarchy &memory() const { return mem_; }
@@ -177,8 +193,12 @@ class O3Model
 };
 
 /**
- * Convenience: run @p mix for @p count instructions at an IMUL
- * latency and return the stats.
+ * Run @p mix for @p count instructions at an IMUL latency and return
+ * the stats.  The program is streamed: a producer thread generates it
+ * in kProgramChunkInsts chunks into four circulating buffers while the
+ * calling thread times them, so generation overlaps the model and the
+ * full program is never held.  The result equals
+ * O3Model(cfg).run(ProgramGenerator(seed).generate(mix, count)).
  */
 CoreStats runMixAtImulLatency(const ProgramMix &mix, std::size_t count,
                               int imul_latency,

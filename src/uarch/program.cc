@@ -98,20 +98,45 @@ Program
 ProgramGenerator::generate(const ProgramMix &mix,
                            std::size_t count) const
 {
-    Rng rng(seed_ ^ hashName(mix.name));
+    Program prog;
+    prog.name = mix.name;
+    prog.codeFootprintBytes = mix.codeFootprintBytes;
+    prog.insts.reserve(count);
+    stream(mix, count, kProgramChunkInsts,
+           [&prog](std::span<const Inst> chunk) {
+               prog.insts.insert(prog.insts.end(), chunk.begin(),
+                                 chunk.end());
+           });
+    return prog;
+}
 
+void
+ProgramGenerator::stream(const ProgramMix &mix, std::size_t count,
+                         std::size_t chunk, const ChunkSink &emit) const
+{
     double total = 0.0;
     for (double w : mix.weights)
         total += w;
     SUIT_ASSERT(total > 0.0, "program mix '%s' has no weights",
                 mix.name.c_str());
+    SUIT_ASSERT(mix.footprintBytes > 0,
+                "program mix '%s': footprintBytes must be positive",
+                mix.name.c_str());
+    SUIT_ASSERT(mix.hotSetBytes > 0,
+                "program mix '%s': hotSetBytes must be positive",
+                mix.name.c_str());
+    SUIT_ASSERT(mix.depLocality > 0.0,
+                "program mix '%s': depLocality must be positive",
+                mix.name.c_str());
+    SUIT_ASSERT(chunk > 0, "stream() needs a positive chunk size");
 
-    Program prog;
-    prog.name = mix.name;
-    prog.codeFootprintBytes = mix.codeFootprintBytes;
-    prog.insts.reserve(count);
+    Rng rng(seed_ ^ hashName(mix.name));
+
+    std::vector<Inst> buf;
+    buf.reserve(std::min(chunk, count));
     const std::uint64_t code_sites =
         std::max<std::uint64_t>(1, mix.codeFootprintBytes / 4);
+    std::uint64_t site = 0; //!< n % code_sites, without the division
 
     // Ring of recently written registers for dependency sampling.
     std::int8_t recent_dst[kNumArchRegs];
@@ -122,6 +147,7 @@ ProgramGenerator::generate(const ProgramMix &mix,
     int mul_chain_left = 0;
     const double chain_continue =
         mix.mulChainLen <= 1.0 ? 0.0 : 1.0 - 1.0 / mix.mulChainLen;
+    const double walk_stop = 1.0 / mix.depLocality;
     std::uint64_t stream_addr = 0;
 
     auto pick_src = [&]() -> std::int8_t {
@@ -131,8 +157,7 @@ ProgramGenerator::generate(const ProgramMix &mix,
             return -1;
         // Geometric walk back through recent destinations.
         int back = 0;
-        while (back < kNumArchRegs - 1 &&
-               rng.nextDouble() > 1.0 / mix.depLocality)
+        while (back < kNumArchRegs - 1 && rng.nextDouble() > walk_stop)
             ++back;
         const int idx =
             (recent_head - 1 - back + 2 * kNumArchRegs) % kNumArchRegs;
@@ -164,10 +189,9 @@ ProgramGenerator::generate(const ProgramMix &mix,
                 // Site-deterministic outcome: the same static branch
                 // behaves consistently across loop iterations, so
                 // the predictor learns it.
-                std::uint64_t site = n % code_sites;
-                site = site * 0x9E3779B97F4A7C15ULL;
+                const std::uint64_t hash = site * 0x9E3779B97F4A7C15ULL;
                 inst.taken =
-                    static_cast<double>(site >> 40) / (1 << 24) <
+                    static_cast<double>(hash >> 40) / (1 << 24) <
                     mix.takenRate;
             }
             break;
@@ -196,7 +220,10 @@ ProgramGenerator::generate(const ProgramMix &mix,
 
         if (inst.isMem()) {
             if (rng.nextBool(mix.streamingRate)) {
-                stream_addr = (stream_addr + 8) % mix.footprintBytes;
+                // (stream_addr + 8) % footprintBytes, division-free.
+                stream_addr += 8;
+                while (stream_addr >= mix.footprintBytes)
+                    stream_addr -= mix.footprintBytes;
                 inst.addr = stream_addr;
                 inst.streamingHint = true;
             } else if (rng.nextBool(mix.hotRate)) {
@@ -221,9 +248,17 @@ ProgramGenerator::generate(const ProgramMix &mix,
         if (inst.op == OpClass::IntMul)
             last_mul_dst = inst.dst;
 
-        prog.insts.push_back(inst);
+        if (++site == code_sites)
+            site = 0;
+
+        buf.push_back(inst);
+        if (buf.size() == chunk) {
+            emit(buf);
+            buf.clear();
+        }
     }
-    return prog;
+    if (!buf.empty())
+        emit(buf);
 }
 
 namespace {

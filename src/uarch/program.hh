@@ -14,6 +14,8 @@
 #define SUIT_UARCH_PROGRAM_HH
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,14 +84,34 @@ struct Program
     std::vector<Inst> insts;
 };
 
+/**
+ * Instructions per chunk when a program is streamed rather than
+ * materialised (generate() and the O3 pipeline's producer).
+ */
+constexpr std::size_t kProgramChunkInsts = 16 * 1024;
+
 /** Generates programs from mixes, deterministically per seed. */
 class ProgramGenerator
 {
   public:
+    /** Receives one chunk of a streamed program. */
+    using ChunkSink = std::function<void(std::span<const Inst>)>;
+
     explicit ProgramGenerator(std::uint64_t seed = 17);
 
     /** Generate @p count instructions following @p mix. */
     Program generate(const ProgramMix &mix, std::size_t count) const;
+
+    /**
+     * Generate the same @p count instructions as generate(), handing
+     * them to @p emit in order, @p chunk at a time (the last chunk
+     * may be shorter; a zero count emits nothing).  Each span is
+     * valid only during its call.  The generator's state carries over
+     * from one chunk to the next, so the program is never held in
+     * full.
+     */
+    void stream(const ProgramMix &mix, std::size_t count,
+                std::size_t chunk, const ChunkSink &emit) const;
 
   private:
     std::uint64_t seed_;

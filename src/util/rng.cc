@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,25 +29,13 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
 Rng::nextBelow(std::uint64_t bound)
 {
     SUIT_ASSERT(bound > 0, "nextBelow() requires a positive bound");
+    // A power-of-two bound divides 2^64: the rejection threshold
+    // below is 0 and the modulo is a mask, so skip both divisions.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = (~bound + 1) % bound;
     for (;;) {
@@ -75,22 +57,9 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::nextDouble()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
 Rng::nextDouble(double lo, double hi)
 {
     return lo + (hi - lo) * nextDouble();
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 double

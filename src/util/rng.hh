@@ -29,7 +29,21 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5317C0DEULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound) (bound > 0). */
     std::uint64_t nextBelow(std::uint64_t bound);
@@ -38,13 +52,18 @@ class Rng
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double nextDouble(double lo, double hi);
 
     /** Bernoulli trial with probability p of returning true. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Exponentially distributed double with the given mean. */
     double nextExponential(double mean);
@@ -66,6 +85,12 @@ class Rng
 
   private:
     static constexpr std::uint64_t kDefaultSeed = 0x5317C0DEULL;
+
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
 
     std::uint64_t s_[4];
     double cachedGaussian_ = 0.0;

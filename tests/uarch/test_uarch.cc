@@ -6,11 +6,14 @@
  */
 
 #include <gtest/gtest.h>
+#include <span>
+#include <vector>
 
 #include "uarch/branch.hh"
 #include "uarch/cache.hh"
 #include "uarch/o3_model.hh"
 #include "uarch/program.hh"
+#include "util/rng.hh"
 
 namespace {
 
@@ -60,6 +63,50 @@ TEST(CacheTest, MissLatencyChainsThroughLevels)
     l1b.access(0x40, 200);
     l1b.access(0x40 + 128, 200); // evicts (1 way, 2 sets)
     EXPECT_EQ(l1b.access(0x40, 200), 2 + 20);
+}
+
+TEST(CacheTest, NonDefaultGeometriesPinCounts)
+{
+    // 8 kB L1s over a 64 kB LLC, fed one fixed mixed stream
+    // (sequential sweep + random accesses); the counts were recorded
+    // with the division-based set/tag computation and pin the
+    // shift-based one to it.
+    struct Geometry
+    {
+        int lineBytes;
+        int ways;
+        std::uint64_t l1Misses;
+        std::uint64_t llcMisses;
+    };
+    const Geometry geometries[] = {
+        {32, 4, 16346, 5735},
+        {32, 16, 16348, 5702},
+        {128, 4, 8899, 5580},
+        {128, 16, 8916, 5435},
+    };
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(testing::Message() << g.lineBytes << " B lines, "
+                                        << g.ways << "-way");
+        Cache llc({"LLC", 64 * 1024, g.ways, g.lineBytes, 20},
+                  nullptr);
+        Cache l1({"L1", 8 * 1024, g.ways, g.lineBytes, 2}, &llc);
+        suit::util::Rng rng(11);
+        std::uint64_t sweep = 0;
+        for (int i = 0; i < 20'000; ++i) {
+            std::uint64_t addr;
+            if (i % 3 == 0) {
+                addr = rng.nextBelow(256 * 1024);
+            } else {
+                sweep = (sweep + 24) & (48 * 1024 - 1);
+                addr = sweep;
+            }
+            l1.access(addr, 200);
+        }
+        EXPECT_EQ(l1.accesses(), 20'000u);
+        EXPECT_EQ(l1.misses(), g.l1Misses);
+        EXPECT_EQ(llc.accesses(), g.l1Misses);
+        EXPECT_EQ(llc.misses(), g.llcMisses);
+    }
 }
 
 TEST(MemoryHierarchyTest, Table5Defaults)
@@ -161,9 +208,103 @@ TEST(ProgramTest, MemOpsCarryAddressesInsideFootprint)
     }
 }
 
+TEST(ProgramDeathTest, RejectsDegenerateMixes)
+{
+    // Each field is validated before the first instruction is drawn,
+    // so even an empty program names the broken field.
+    ProgramMix no_footprint = specIntLikeMix();
+    no_footprint.footprintBytes = 0;
+    EXPECT_DEATH((void)ProgramGenerator(1).generate(no_footprint, 0),
+                 "footprintBytes");
+
+    ProgramMix no_hot_set = specIntLikeMix();
+    no_hot_set.hotSetBytes = 0;
+    EXPECT_DEATH((void)ProgramGenerator(1).generate(no_hot_set, 100),
+                 "hotSetBytes");
+
+    for (double locality : {0.0, -2.0}) {
+        ProgramMix bad_locality = specIntLikeMix();
+        bad_locality.depLocality = locality;
+        EXPECT_DEATH(
+            (void)ProgramGenerator(1).generate(bad_locality, 100),
+            "depLocality");
+    }
+
+    EXPECT_DEATH((void)runMixAtImulLatency(no_footprint, 100, 4),
+                 "footprintBytes");
+}
+
+TEST(ProgramTest, StreamedChunksConcatenateToGenerate)
+{
+    const std::size_t chunk = kProgramChunkInsts;
+    for (const ProgramMix &mix : figure14Mixes()) {
+        for (std::size_t count : {std::size_t{0}, std::size_t{1},
+                                  chunk - 1, chunk, chunk + 1,
+                                  3 * chunk + 7}) {
+            for (std::size_t step : {chunk, std::size_t{7}}) {
+                SCOPED_TRACE(testing::Message()
+                             << mix.name << ", " << count
+                             << " instructions, chunk " << step);
+                const ProgramGenerator gen(21);
+                const Program whole = gen.generate(mix, count);
+                std::vector<Inst> streamed;
+                std::size_t calls = 0;
+                gen.stream(mix, count, step,
+                           [&](std::span<const Inst> part) {
+                               ASSERT_FALSE(part.empty());
+                               ASSERT_LE(part.size(), step);
+                               // Only the last chunk may be short.
+                               ASSERT_EQ(streamed.size(), calls * step);
+                               streamed.insert(streamed.end(),
+                                               part.begin(),
+                                               part.end());
+                               ++calls;
+                           });
+                EXPECT_EQ(calls, (count + step - 1) / step);
+                EXPECT_TRUE(streamed == whole.insts);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Pipeline timing
 // ---------------------------------------------------------------
+
+TEST(O3ModelTest, StreamedRunMatchesMaterialisedRun)
+{
+    const std::size_t chunk = kProgramChunkInsts;
+    const std::uint64_t seed = 23;
+    for (const ProgramMix &mix : figure14Mixes()) {
+        for (int latency : {3, 4, 30}) {
+            for (std::size_t count : {std::size_t{0}, std::size_t{1},
+                                      chunk - 1, chunk, chunk + 1,
+                                      3 * chunk + 7}) {
+                SCOPED_TRACE(testing::Message()
+                             << mix.name << ", IMUL " << latency
+                             << ", " << count << " instructions");
+                CoreConfig cfg;
+                cfg.setImulLatency(latency);
+                const CoreStats want = O3Model(cfg).run(
+                    ProgramGenerator(seed).generate(mix, count));
+                const CoreStats got =
+                    runMixAtImulLatency(mix, count, latency, seed);
+                EXPECT_EQ(got.instructions, count);
+                EXPECT_EQ(got.instructions, want.instructions);
+                EXPECT_EQ(got.cycles, want.cycles);
+                EXPECT_EQ(got.branches, want.branches);
+                EXPECT_EQ(got.mispredicts, want.mispredicts);
+                EXPECT_EQ(got.loads, want.loads);
+                EXPECT_EQ(got.stores, want.stores);
+                EXPECT_EQ(got.traps, want.traps);
+                EXPECT_EQ(got.emulated, want.emulated);
+                EXPECT_EQ(got.l1dMisses, want.l1dMisses);
+                EXPECT_EQ(got.llcMisses, want.llcMisses);
+                EXPECT_EQ(got.classCounts, want.classCounts);
+            }
+        }
+    }
+}
 
 TEST(O3ModelTest, IpcIsPlausible)
 {

@@ -39,6 +39,30 @@ TEST(Rng, NextBelowRespectsBound)
     }
 }
 
+TEST(Rng, NextBelowMatchesRejectionSampling)
+{
+    // Reference: the plain rejection algorithm, with no power-of-two
+    // shortcut.  The fast path must return the same values and
+    // consume the same number of draws.
+    auto reference = [](Rng &rng, std::uint64_t bound) {
+        const std::uint64_t threshold = (~bound + 1) % bound;
+        for (;;) {
+            const std::uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    for (std::uint64_t bound :
+         {1ULL, 2ULL, 3ULL, 16ULL, 1ULL << 40, 1ULL << 63,
+          (1ULL << 63) + 1}) {
+        Rng fast(99), slow(99);
+        for (int i = 0; i < 10'000; ++i)
+            ASSERT_EQ(fast.nextBelow(bound), reference(slow, bound))
+                << "bound " << bound << ", draw " << i;
+        EXPECT_EQ(fast.next(), slow.next()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, NextRangeInclusive)
 {
     Rng rng(6);
