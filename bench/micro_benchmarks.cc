@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "core/params.hh"
@@ -22,6 +23,7 @@
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 #include "uarch/o3_model.hh"
+#include "uarch/program.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -88,19 +90,27 @@ BM_AesencBitsliced(benchmark::State &state)
 }
 BENCHMARK(BM_AesencBitsliced);
 
+/**
+ * Trace generation over the 23 SPEC profiles, so the kind sampler
+ * meets the same mixes as a SPEC sweep does; items are generated
+ * events.
+ */
 void
 BM_TraceGeneration(benchmark::State &state)
 {
-    const auto &profile = trace::profileByName("502.gcc");
+    const std::vector<trace::WorkloadProfile> profiles =
+        trace::specProfiles();
     std::uint64_t seed = 1;
+    std::int64_t events = 0;
     for (auto _ : state) {
-        const trace::Trace t =
-            trace::TraceGenerator(seed++).generate(profile);
-        benchmark::DoNotOptimize(t.eventCount());
+        const trace::TraceGenerator gen(seed++);
+        for (const trace::WorkloadProfile &profile : profiles) {
+            const trace::Trace t = gen.generate(profile);
+            benchmark::DoNotOptimize(t.events().data());
+            events += static_cast<std::int64_t>(t.eventCount());
+        }
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(profile.totalInstructions));
+    state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
@@ -225,6 +235,29 @@ BM_O3ModelRate(benchmark::State &state)
         static_cast<std::int64_t>(prog.insts.size()));
 }
 BENCHMARK(BM_O3ModelRate)->Unit(benchmark::kMillisecond);
+
+/**
+ * The Fig. 14 producer on its own: streaming 100 k spec-int-like
+ * instructions in pipeline-sized chunks, without the O3 model that
+ * BM_O3ModelRate times.
+ */
+void
+BM_ProgramGeneration(benchmark::State &state)
+{
+    constexpr std::size_t kInsts = 100'000;
+    const uarch::ProgramMix mix = uarch::specIntLikeMix();
+    const uarch::ProgramGenerator gen(5);
+    for (auto _ : state) {
+        gen.stream(mix, kInsts, uarch::kProgramChunkInsts,
+                   [](std::span<const uarch::Inst> chunk) {
+                       benchmark::DoNotOptimize(chunk.data());
+                   });
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kInsts));
+}
+BENCHMARK(BM_ProgramGeneration)->Unit(benchmark::kMillisecond);
 
 /**
  * Per-job dispatch overhead of the thread pool: parallelFor over

@@ -52,6 +52,11 @@ TelemetrySampler::start()
     std::lock_guard lock(threadMu_);
     if (thread_.joinable())
         return; // already running
+    // Record the start state before the first interval elapses, on
+    // this thread, so that even a run shorter than one interval has a
+    // sample once start() returns (the end state is the owner's to
+    // take, as CliScope does).
+    sampleOnce();
     threadStop_ = false;
     thread_ = std::thread([this] { samplerMain(); });
 }

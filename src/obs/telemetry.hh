@@ -103,7 +103,10 @@ class TelemetrySampler
     TelemetrySampler(const TelemetrySampler &) = delete;
     TelemetrySampler &operator=(const TelemetrySampler &) = delete;
 
-    /** @{ Background thread lifecycle; both are idempotent. */
+    /**
+     * @{ Background thread lifecycle; both are idempotent.  start()
+     * takes a start-state sample before it returns.
+     */
     void start();
     void stop();
     bool running() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/categorical.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -26,23 +27,6 @@ hashName(const std::string &name)
     return h;
 }
 
-FaultableKind
-sampleKind(const std::array<double, kNumFaultableKinds> &mix, Rng &rng)
-{
-    double u = rng.nextDouble();
-    for (std::size_t i = 0; i < kNumFaultableKinds; ++i) {
-        u -= mix[i];
-        if (u < 0.0)
-            return static_cast<FaultableKind>(i);
-    }
-    // Numerical leftovers land on the last kind with weight.
-    for (std::size_t i = kNumFaultableKinds; i-- > 0;) {
-        if (mix[i] > 0.0)
-            return static_cast<FaultableKind>(i);
-    }
-    SUIT_PANIC("kind mix has no positive weight");
-}
-
 } // namespace
 
 TraceGenerator::TraceGenerator(std::uint64_t seed) : seed_(seed) {}
@@ -51,6 +35,10 @@ Trace
 TraceGenerator::generate(const WorkloadProfile &profile,
                          int stream_id) const
 {
+    // Numerical leftovers land on the last kind with weight.
+    const suit::util::CategoricalSampler<FaultableKind, kNumFaultableKinds>
+        kinds(profile.kindMix,
+              "kind mix of profile '" + profile.name + "'");
     Rng rng(seed_ ^ hashName(profile.name) ^
             (static_cast<std::uint64_t>(stream_id) * 0x9E3779B9ULL));
 
@@ -92,7 +80,7 @@ TraceGenerator::generate(const WorkloadProfile &profile,
                 if (consumed + gap + 1 > total)
                     break;
             }
-            events.push_back({gap, sampleKind(profile.kindMix, rng)});
+            events.push_back({gap, kinds.sample(rng.nextDouble())});
             consumed += gap + 1;
             first = false;
         } while (rng.nextBool(continue_p));

@@ -65,6 +65,69 @@ readU32(std::istream &is)
     return v;
 }
 
+/** Every event takes at least two bytes in either format. */
+constexpr std::uint64_t kMinEventBytes = 2;
+
+/**
+ * Bytes from the read position to the end of @p is, or -1 when the
+ * stream cannot seek.
+ */
+std::streamoff
+bytesLeft(std::istream &is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1))
+        return -1;
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    if (end == std::istream::pos_type(-1) || !is)
+        return -1;
+    return end - here;
+}
+
+/**
+ * Reject header values the Trace constructor would assert on, and an
+ * event count the rest of the stream cannot hold, so a hostile file
+ * ends in fatal() before anything is allocated.  Returns how many
+ * events to reserve.
+ */
+std::size_t
+checkHeader(std::istream &is, double ipc, double weight,
+            std::uint64_t count)
+{
+    if (!(ipc > 0.0))
+        fatal("trace header has a non-positive IPC (%g)", ipc);
+    if (!(weight >= 1.0))
+        fatal("trace header has an event weight below 1 (%g)", weight);
+    const std::streamoff left = bytesLeft(is);
+    if (left < 0)
+        return 0; // unknown length: grow as events arrive
+    if (count > static_cast<std::uint64_t>(left) / kMinEventBytes)
+        fatal("trace header claims %llu events but only %lld bytes "
+              "follow",
+              static_cast<unsigned long long>(count),
+              static_cast<long long>(left));
+    return static_cast<std::size_t>(count);
+}
+
+/**
+ * Advance @p pos past an event @p gap instructions after the previous
+ * one, or fatal() if the event would lie at or past @p total.  With
+ * pos <= total on entry, the comparison cannot overflow.
+ */
+void
+advancePosition(std::uint64_t &pos, std::uint64_t gap,
+                std::uint64_t total, std::uint64_t i)
+{
+    if (gap >= total - pos)
+        fatal("trace event %llu lies past the stream's %llu "
+              "instructions",
+              static_cast<unsigned long long>(i),
+              static_cast<unsigned long long>(total));
+    pos += gap + 1;
+}
+
 } // namespace
 
 void
@@ -115,7 +178,8 @@ readText(std::istream &is)
     }
 
     std::vector<FaultableEvent> events;
-    events.reserve(count);
+    events.reserve(checkHeader(is, ipc, weight, count));
+    std::uint64_t pos = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t gap = 0;
         std::string mnemonic;
@@ -123,6 +187,7 @@ readText(std::istream &is)
             fatal("trace events truncated at %llu of %llu",
                   static_cast<unsigned long long>(i),
                   static_cast<unsigned long long>(count));
+        advancePosition(pos, gap, total, i);
         events.push_back(
             {gap, suit::isa::faultableKindFromString(mnemonic)});
     }
@@ -169,7 +234,8 @@ readBinary(std::istream &is)
     const std::uint64_t count = readVarint(is);
 
     std::vector<FaultableEvent> events;
-    events.reserve(count);
+    events.reserve(checkHeader(is, ipc, weight, count));
+    std::uint64_t pos = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t gap = readVarint(is);
         const int kind = is.get();
@@ -178,6 +244,7 @@ readBinary(std::istream &is)
         if (kind < 0 ||
             kind >= static_cast<int>(suit::isa::kNumFaultableKinds))
             fatal("trace contains unknown instruction id %d", kind);
+        advancePosition(pos, gap, total, i);
         events.push_back(
             {gap, static_cast<suit::isa::FaultableKind>(kind)});
     }

@@ -33,13 +33,19 @@ namespace suit::trace {
 /** Write a trace in the text format. */
 void writeText(const Trace &trace, std::ostream &os);
 
-/** Parse a text-format trace; fatal() on malformed input. */
+/**
+ * Parse a text-format trace; fatal() on malformed input.  Validates
+ * the header (IPC > 0, weight >= 1, an event count the rest of the
+ * stream can hold) before allocating, and every event position
+ * against the stream length, so no input can trip the Trace
+ * constructor's asserts.
+ */
 Trace readText(std::istream &is);
 
 /** Write a trace in the binary format. */
 void writeBinary(const Trace &trace, std::ostream &os);
 
-/** Parse a binary-format trace; fatal() on malformed input. */
+/** Parse a binary-format trace; validated like readText(). */
 Trace readBinary(std::istream &is);
 
 /**

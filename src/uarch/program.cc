@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/categorical.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -57,18 +58,6 @@ hashName(const std::string &name)
     return h;
 }
 
-OpClass
-sampleClass(const ProgramMix &mix, double total, Rng &rng)
-{
-    double u = rng.nextDouble() * total;
-    for (std::size_t i = 0; i < kNumOpClasses; ++i) {
-        u -= mix.weights[i];
-        if (u < 0.0)
-            return static_cast<OpClass>(i);
-    }
-    return OpClass::IntAlu;
-}
-
 /** Map a SIMD/AES/IMUL op to its Table 1 faultable class. */
 std::optional<FaultableKind>
 faultableKindFor(OpClass op, Rng &rng)
@@ -114,11 +103,11 @@ void
 ProgramGenerator::stream(const ProgramMix &mix, std::size_t count,
                          std::size_t chunk, const ChunkSink &emit) const
 {
+    const suit::util::CategoricalSampler<OpClass, kNumOpClasses> classes(
+        mix.weights, OpClass::IntAlu, "program mix '" + mix.name + "'");
     double total = 0.0;
     for (double w : mix.weights)
         total += w;
-    SUIT_ASSERT(total > 0.0, "program mix '%s' has no weights",
-                mix.name.c_str());
     SUIT_ASSERT(mix.footprintBytes > 0,
                 "program mix '%s': footprintBytes must be positive",
                 mix.name.c_str());
@@ -170,7 +159,7 @@ ProgramGenerator::stream(const ProgramMix &mix, std::size_t count,
             inst.op = OpClass::IntMul;
             --mul_chain_left;
         } else {
-            inst.op = sampleClass(mix, total, rng);
+            inst.op = classes.sample(rng.nextDouble() * total);
             if (inst.op == OpClass::IntMul) {
                 // Expand into a dependent multiply chain.
                 mul_chain_left = 0;

@@ -97,6 +97,26 @@ TEST(ObsTelemetry, StartStopIsIdempotentAndRestartable)
     EXPECT_GE(sampler.samplesTaken(), 1u);
 }
 
+TEST(ObsTelemetry, StartTakesTheStartStateSample)
+{
+    // With an hour-long interval the thread never samples on its own,
+    // so the one sample is start()'s, there as soon as it returns.
+    Registry reg;
+    reg.setEnabled(true);
+    const MetricId c = reg.counter("start.count");
+    reg.add(c, 3);
+    TelemetrySampler sampler(reg, manualConfig());
+    sampler.start();
+    EXPECT_EQ(sampler.samplesTaken(), 1u);
+    const std::vector<TelemetrySample> tail = sampler.lastSamples(4);
+    ASSERT_EQ(tail.size(), 1u);
+    ASSERT_FALSE(tail[0].raw.empty());
+    EXPECT_EQ(tail[0].raw[0], 3u);
+    sampler.start(); // already running: no second sample
+    EXPECT_EQ(sampler.samplesTaken(), 1u);
+    sampler.stop();
+}
+
 TEST(ObsTelemetry, SampleIdsAreMonotonicAndRingWrapsAround)
 {
     Registry reg;

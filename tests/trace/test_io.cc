@@ -4,8 +4,11 @@
  * malformed-input handling via death tests).
  */
 
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/generator.hh"
 #include "trace/io.hh"
@@ -114,6 +117,130 @@ TEST(TraceIoDeathTest, RejectsTruncatedBinary)
     std::stringstream cut(full.substr(0, full.size() / 2));
     EXPECT_EXIT(readBinary(cut), ::testing::ExitedWithCode(1),
                 "truncated");
+}
+
+/** LEB128 varint, as the binary format stores integers. */
+void
+putVarint(std::string &out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<char>(v));
+}
+
+/**
+ * A hand-built binary trace named "h": header fields as given (IPC
+ * and weight in milli-units), then @p gaps as IMUL events.
+ */
+std::string
+binaryTrace(std::uint64_t total, std::uint64_t ipc_milli,
+            std::uint64_t weight_milli, std::uint64_t count,
+            const std::vector<std::uint64_t> &gaps)
+{
+    std::string out = {'1', 'T', 'F', 'S'}; // magic, little endian
+    putVarint(out, 1);
+    out.push_back('h');
+    putVarint(out, total);
+    putVarint(out, ipc_milli);
+    putVarint(out, weight_milli);
+    putVarint(out, count);
+    for (std::uint64_t gap : gaps) {
+        putVarint(out, gap);
+        out.push_back(static_cast<char>(FaultableKind::IMUL));
+    }
+    return out;
+}
+
+std::string
+textTrace(const std::string &header_tail, const std::string &events)
+{
+    return "suit-trace v1\nname h\ninstructions 1000\n" + header_tail +
+           events;
+}
+
+TEST(TraceIo, HandBuiltBinaryBaselineParses)
+{
+    std::stringstream ss(binaryTrace(1000, 1000, 1000, 2, {10, 20}));
+    const Trace t = readBinary(ss);
+    EXPECT_EQ(t.eventCount(), 2u);
+    EXPECT_EQ(t.eventIndex(1), 31u);
+}
+
+// Hostile inputs: each must end in fatal() (exit 1), never in an
+// assert abort or std::bad_alloc.
+
+TEST(TraceIoDeathTest, BinaryRejectsHugeCountWithShortBody)
+{
+    std::stringstream ss(
+        binaryTrace(1000, 1000, 1000, std::uint64_t{1} << 60, {10}));
+    EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "claims 1152921504606846976 events");
+}
+
+TEST(TraceIoDeathTest, BinaryRejectsEventsPastTheStream)
+{
+    std::stringstream ss(binaryTrace(100, 1000, 1000, 2, {50, 49}));
+    EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "event 1 lies past the stream's 100 instructions");
+}
+
+TEST(TraceIoDeathTest, BinaryRejectsZeroIpc)
+{
+    std::stringstream ss(binaryTrace(1000, 0, 1000, 1, {10}));
+    EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "non-positive IPC");
+}
+
+TEST(TraceIoDeathTest, BinaryRejectsZeroWeight)
+{
+    std::stringstream ss(binaryTrace(1000, 1000, 0, 1, {10}));
+    EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "event weight below 1");
+}
+
+TEST(TraceIoDeathTest, BinaryRejectsGapSumOverflow)
+{
+    // Two gaps of 2^63 wrap a 64-bit running position back to 1,
+    // which would slip past a check made only at the end.
+    const std::uint64_t half = std::uint64_t{1} << 63;
+    std::stringstream ss(
+        binaryTrace(~std::uint64_t{0}, 1000, 1000, 2, {half, half}));
+    EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "event 1 lies past the stream");
+}
+
+TEST(TraceIoDeathTest, TextRejectsHostileHeadersAndEvents)
+{
+    const std::string ok_header = "ipc 1.5\nweight 1\nevents 2\n";
+    {
+        std::stringstream ss(textTrace(ok_header, "10 IMUL\n20 VOR\n"));
+        EXPECT_EQ(readText(ss).eventCount(), 2u);
+    }
+    {
+        std::stringstream ss(textTrace(
+            "ipc 1.5\nweight 1\nevents 99999999999999\n", "10 IMUL\n"));
+        EXPECT_EXIT(readText(ss), ::testing::ExitedWithCode(1),
+                    "claims 99999999999999 events");
+    }
+    {
+        std::stringstream ss(textTrace(ok_header, "10 IMUL\n989 VOR\n"));
+        EXPECT_EXIT(readText(ss), ::testing::ExitedWithCode(1),
+                    "event 1 lies past the stream's 1000 instructions");
+    }
+    {
+        std::stringstream ss(
+            textTrace("ipc 0\nweight 1\nevents 1\n", "10 IMUL\n"));
+        EXPECT_EXIT(readText(ss), ::testing::ExitedWithCode(1),
+                    "non-positive IPC");
+    }
+    {
+        std::stringstream ss(
+            textTrace("ipc 1\nweight 0\nevents 1\n", "10 IMUL\n"));
+        EXPECT_EXIT(readText(ss), ::testing::ExitedWithCode(1),
+                    "event weight below 1");
+    }
 }
 
 TEST(TraceIoDeathTest, RejectsUnknownExtension)

@@ -242,6 +242,33 @@ TEST(Generator, KindMixIsRespected)
     EXPECT_NEAR(aes_share, 0.85, 0.05);
 }
 
+TEST(GeneratorDeathTest, RejectsBadKindMixBeforeTheFirstEvent)
+{
+    // A zero-length stream draws no event, so each abort comes from
+    // validating the mix up front and names the profile.
+    WorkloadProfile p = profileByName("502.gcc");
+    p.totalInstructions = 0;
+
+    WorkloadProfile zero = p;
+    zero.name = "all-zero";
+    zero.kindMix.fill(0.0);
+    EXPECT_DEATH((void)TraceGenerator(1).generate(zero),
+                 "kind mix of profile 'all-zero' has no positive weight");
+
+    WorkloadProfile negative = p;
+    negative.name = "negative";
+    negative.kindMix[static_cast<std::size_t>(FaultableKind::VXOR)] =
+        -0.1;
+    EXPECT_DEATH((void)TraceGenerator(1).generate(negative),
+                 "kind mix of profile 'negative': weight 3");
+
+    WorkloadProfile nan = p;
+    nan.name = "nan";
+    nan.kindMix[0] = std::nan("");
+    EXPECT_DEATH((void)TraceGenerator(1).generate(nan),
+                 "kind mix of profile 'nan': weight 0");
+}
+
 TEST(TraceTest, TailInstructionsCountsTrailingStream)
 {
     const Trace t("t", 1000, 1.0,

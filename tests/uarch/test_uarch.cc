@@ -5,6 +5,8 @@
  * path.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
 #include <span>
 #include <vector>
@@ -232,6 +234,28 @@ TEST(ProgramDeathTest, RejectsDegenerateMixes)
 
     EXPECT_DEATH((void)runMixAtImulLatency(no_footprint, 100, 4),
                  "footprintBytes");
+}
+
+TEST(ProgramDeathTest, RejectsBadOpClassWeights)
+{
+    // Validated before the first instruction, naming the mix.
+    ProgramMix zero = specIntLikeMix();
+    zero.name = "all-zero";
+    std::fill(std::begin(zero.weights), std::end(zero.weights), 0.0);
+    EXPECT_DEATH((void)ProgramGenerator(1).generate(zero, 0),
+                 "program mix 'all-zero' has no positive weight");
+
+    ProgramMix negative = specIntLikeMix();
+    negative.name = "negative";
+    negative.weights[static_cast<std::size_t>(OpClass::FpMul)] = -0.5;
+    EXPECT_DEATH((void)ProgramGenerator(1).generate(negative, 0),
+                 "program mix 'negative': weight 4");
+
+    ProgramMix nan = specIntLikeMix();
+    nan.name = "nan";
+    nan.weights[static_cast<std::size_t>(OpClass::Load)] = std::nan("");
+    EXPECT_DEATH((void)ProgramGenerator(1).generate(nan, 100),
+                 "program mix 'nan': weight 8");
 }
 
 TEST(ProgramTest, StreamedChunksConcatenateToGenerate)
