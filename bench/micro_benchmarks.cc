@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "runtime/session.hh"
 #include "exec/thread_pool.hh"
 #include "sim/domain_sim.hh"
+#include "sim/trace_cache.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 #include "uarch/o3_model.hh"
@@ -258,6 +260,41 @@ BM_ProgramGeneration(benchmark::State &state)
                             static_cast<std::int64_t>(kInsts));
 }
 BENCHMARK(BM_ProgramGeneration)->Unit(benchmark::kMillisecond);
+
+/**
+ * Trace-cache hit cost: 1408 resident keys (the fleet_1m trace count)
+ * looked up at random through getMany(), one stream each, as the
+ * fleet engine pins a domain's trace.  One iteration is one hit, so
+ * the real time per iteration is ns per hit on each thread; Threads(4)
+ * against Threads(1) shows whether concurrent hits serialise.
+ */
+void
+BM_TraceCacheHit(benchmark::State &state)
+{
+    constexpr std::uint64_t kKeys = 1408;
+    static const trace::WorkloadProfile profile = [] {
+        trace::WorkloadProfile p = trace::profileByName("Nginx");
+        p.name = "cache-hit-bench";
+        p.totalInstructions = 100'000;
+        return p;
+    }();
+    static sim::TraceCache cache;
+    static const bool filled = [] {
+        for (std::uint64_t seed = 0; seed < kKeys; ++seed)
+            cache.get(profile, seed, 0);
+        return true;
+    }();
+    benchmark::DoNotOptimize(filled);
+
+    util::Rng rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
+    std::vector<std::shared_ptr<const trace::Trace>> pins;
+    for (auto _ : state) {
+        cache.getMany(profile, rng.next() % kKeys, 1, pins);
+        benchmark::DoNotOptimize(pins.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TraceCacheHit)->Threads(1)->Threads(4)->UseRealTime();
 
 /**
  * Per-job dispatch overhead of the thread pool: parallelFor over

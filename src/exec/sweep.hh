@@ -17,7 +17,7 @@
  *    completion-ordered container;
  *  - the session's shared TraceCache is keyed by value, not by
  *    arrival order — whichever worker generates a trace first, every
- *    worker reads the same bytes (and an LRU-evicted trace
+ *    worker reads the same bytes (and an evicted trace
  *    regenerates to the same bytes, being a pure function of its
  *    key).
  *
@@ -176,7 +176,7 @@ class SweepEngine
     /**
      * The session's trace cache, shared by all jobs of all run()
      * calls: repeated (cpu, workload, seed) cells — e.g. Table 6's
-     * strategy x offset grid — generate each trace once (modulo LRU
+     * strategy x offset grid — generate each trace once (modulo
      * eviction, which regenerates identically).
      */
     suit::sim::TraceCache &traceCache()

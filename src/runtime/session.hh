@@ -14,7 +14,7 @@
  *
  *   Session (process lifetime)
  *    +- exec::ThreadPool        one pool, null when jobs == 1
- *    +- sim::TraceCache         LRU-bounded, shared by all engines
+ *    +- sim::TraceCache         sharded, CLOCK-bounded, shared by all
  *   RunContext (per run)
  *    +- CancelToken             cancel / SIGINT link / deadline
  *    +- CheckpointPolicy        journal path + resume
@@ -43,7 +43,7 @@ struct SessionConfig {
     int jobs = 0;
     /** Task queue bound; 0 = 2 x workers. */
     std::size_t queueCapacity = 0;
-    /** Trace cache capacity in bytes (LRU eviction above it). */
+    /** Trace cache capacity in bytes (CLOCK eviction above it). */
     std::size_t traceCacheBytes =
         suit::sim::TraceCache::kDefaultCapacityBytes;
     /**

@@ -1,6 +1,7 @@
 #include "sim/trace_cache.hh"
 
 #include <array>
+#include <optional>
 
 #include "obs/registry.hh"
 #include "trace/generator.hh"
@@ -22,72 +23,9 @@ std::shared_ptr<const Trace>
 TraceCache::get(const WorkloadProfile &profile, std::uint64_t seed,
                 int stream)
 {
-    const KeyView key{profile.name, seed, stream};
-    std::shared_ptr<Slot> slot;
-    {
-        std::lock_guard lock(mu_);
-        const auto it = map_.find(key);
-        if (it != map_.end()) {
-            Entry &entry = it->second;
-            // Touch: move to the recency front.
-            lru_.splice(lru_.begin(), lru_, entry.lruIt);
-            slot = entry.slot;
-        } else {
-            // Only a miss pays for materialising the owning key.
-            const auto emplaced =
-                map_.try_emplace(Key{profile.name, seed, stream});
-            Entry &entry = emplaced.first->second;
-            entry.slot = std::make_shared<Slot>();
-            lru_.push_front(&emplaced.first->first);
-            entry.lruIt = lru_.begin();
-            slot = entry.slot;
-        }
-    }
-    // Generation happens outside the map lock: distinct traces build
-    // concurrently; racing get()s on the *same* key serialise on the
-    // slot's once_flag and generate exactly once.
-    bool generated = false;
-    std::call_once(slot->once, [&] {
-        auto built = std::make_shared<const Trace>(
-            TraceGenerator(seed).generate(profile, stream));
-        slot->bytes = built->memoryBytes();
-        slot->trace = std::move(built);
-        generated = true;
-    });
-    static const obs::MetricId hit_id =
-        obs::metrics().counter("sim.trace_cache.hits");
-    static const obs::MetricId miss_id =
-        obs::metrics().counter("sim.trace_cache.misses");
-    static const obs::MetricId evict_id =
-        obs::metrics().counter("sim.trace_cache.evictions");
-    if (!generated) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics().add(hit_id);
-        return slot->trace;
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(miss_id);
-    std::uint64_t evicted = 0;
-    {
-        std::lock_guard lock(mu_);
-        // Account the new bytes iff the entry is still ours (it may
-        // have been evicted mid-generation, or replaced by a fresh
-        // slot after such an eviction).
-        const auto it = map_.find(key);
-        if (it != map_.end() && it->second.slot == slot &&
-            !it->second.accounted) {
-            it->second.accounted = true;
-            bytes_ += slot->bytes;
-            const std::uint64_t before =
-                evictions_.load(std::memory_order_relaxed);
-            evictLocked();
-            evicted = evictions_.load(std::memory_order_relaxed) -
-                      before;
-        }
-    }
-    if (evicted != 0)
-        obs::metrics().add(evict_id, evicted);
-    return slot->trace;
+    std::shared_ptr<const Trace> out;
+    pin(profile, seed, stream, 1, &out);
+    return out;
 }
 
 void
@@ -100,34 +38,39 @@ TraceCache::getMany(
                 kMaxStreams, streams);
     out.clear();
     out.resize(static_cast<std::size_t>(streams));
+    pin(profile, seed, 0, streams, out.data());
+}
 
-    // Slots of the streams whose trace is not yet built; everything
-    // already accounted is answered directly under the single lock.
-    std::array<std::shared_ptr<Slot>, kMaxStreams> pending;
-    int pending_count = 0;
-    {
-        std::lock_guard lock(mu_);
-        for (int s = 0; s < streams; ++s) {
-            const KeyView key{profile.name, seed, s};
-            auto it = map_.find(key);
-            if (it != map_.end()) {
-                lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            } else {
-                const auto emplaced =
-                    map_.try_emplace(Key{profile.name, seed, s});
-                it = emplaced.first;
-                Entry &entry = it->second;
-                entry.slot = std::make_shared<Slot>();
-                lru_.push_front(&it->first);
-                entry.lruIt = lru_.begin();
-            }
-            Entry &entry = it->second;
-            if (entry.accounted) {
-                out[static_cast<std::size_t>(s)] = entry.slot->trace;
-            } else {
-                pending[static_cast<std::size_t>(s)] = entry.slot;
-                ++pending_count;
-            }
+void
+TraceCache::pin(const WorkloadProfile &profile, std::uint64_t seed,
+                int first, int count, std::shared_ptr<const Trace> *out)
+{
+    // Slots of the streams whose trace is not yet accounted; every
+    // accounted entry is answered under its own shard's lock.  Built
+    // only on the first such stream: zeroing and destroying 64 empty
+    // pointers would cost an all-hit call about a third of its time.
+    std::optional<std::array<std::shared_ptr<Slot>, kMaxStreams>> pending;
+    for (int i = 0; i < count; ++i) {
+        const KeyView key{profile.name, seed, first + i};
+        Shard &shard = shardFor(key);
+        std::lock_guard lock(shard.mu);
+        auto it = shard.map.find(key);
+        if (it == shard.map.end()) {
+            // Only a miss pays for materialising the owning key.
+            it = shard.map.try_emplace(Key(key)).first;
+            it->second.slot = std::make_shared<Slot>();
+        } else if (!it->second.referenced) {
+            // Written only when clear, so a hot entry stays clean.
+            it->second.referenced = true;
+        }
+        const Entry &entry = it->second;
+        if (entry.trace) {
+            out[i] = entry.trace;
+            shard.countHit();
+        } else {
+            if (!pending)
+                pending.emplace();
+            (*pending)[static_cast<std::size_t>(i)] = entry.slot;
         }
     }
 
@@ -139,55 +82,54 @@ TraceCache::getMany(
         obs::metrics().counter("sim.trace_cache.evictions");
 
     std::uint64_t generated = 0;
-    if (pending_count != 0) {
-        // Build the missing traces outside the lock, like get().
-        for (int s = 0; s < streams; ++s) {
+    if (pending) {
+        const auto &slots = *pending;
+        // Build the missing traces outside every lock: distinct
+        // traces build concurrently; racing callers on the *same* key
+        // serialise on the slot's once_flag and generate exactly once.
+        std::array<bool, kMaxStreams> built_here{};
+        for (int i = 0; i < count; ++i) {
             const std::shared_ptr<Slot> &slot =
-                pending[static_cast<std::size_t>(s)];
+                slots[static_cast<std::size_t>(i)];
             if (!slot)
                 continue;
             std::call_once(slot->once, [&] {
                 auto built = std::make_shared<const Trace>(
-                    TraceGenerator(seed).generate(profile, s));
+                    TraceGenerator(seed).generate(profile, first + i));
                 slot->bytes = built->memoryBytes();
                 slot->trace = std::move(built);
+                built_here[static_cast<std::size_t>(i)] = true;
                 ++generated;
             });
-            out[static_cast<std::size_t>(s)] = slot->trace;
+            out[i] = slot->trace;
         }
-        // Account every newly generated entry in one lock.
+        // Account every newly built entry, and count the waits on
+        // someone else's generation as hits, in one clock pass.
         std::uint64_t evicted = 0;
         {
-            std::lock_guard lock(mu_);
-            for (int s = 0; s < streams; ++s) {
+            std::lock_guard clock_lock(clockMu_);
+            for (int i = 0; i < count; ++i) {
                 const std::shared_ptr<Slot> &slot =
-                    pending[static_cast<std::size_t>(s)];
+                    slots[static_cast<std::size_t>(i)];
                 if (!slot)
                     continue;
-                const KeyView key{profile.name, seed, s};
-                const auto it = map_.find(key);
-                if (it != map_.end() && it->second.slot == slot &&
-                    !it->second.accounted) {
-                    it->second.accounted = true;
-                    bytes_ += slot->bytes;
-                }
+                const KeyView key{profile.name, seed, first + i};
+                Shard &shard = shardFor(key);
+                std::lock_guard lock(shard.mu);
+                if (!built_here[static_cast<std::size_t>(i)])
+                    shard.countHit();
+                accountLocked(shard, key, *slot);
             }
-            const std::uint64_t before =
-                evictions_.load(std::memory_order_relaxed);
-            evictLocked();
-            evicted = evictions_.load(std::memory_order_relaxed) -
-                      before;
+            evicted = sweepLocked();
         }
         if (evicted != 0)
             obs::metrics().add(evict_id, evicted);
     }
 
     const std::uint64_t hit_count =
-        static_cast<std::uint64_t>(streams) - generated;
-    if (hit_count != 0) {
-        hits_.fetch_add(hit_count, std::memory_order_relaxed);
+        static_cast<std::uint64_t>(count) - generated;
+    if (hit_count != 0)
         obs::metrics().add(hit_id, hit_count);
-    }
     if (generated != 0) {
         misses_.fetch_add(generated, std::memory_order_relaxed);
         obs::metrics().add(miss_id, generated);
@@ -195,44 +137,69 @@ TraceCache::getMany(
 }
 
 void
-TraceCache::evictLocked()
+TraceCache::accountLocked(Shard &shard, const KeyView &key,
+                          const Slot &slot)
 {
-    while (bytes_ > capacity_ && !lru_.empty()) {
-        // Walk from the LRU tail, skipping entries still generating
-        // (unaccounted) — those cannot be costed or safely dropped.
-        bool evicted = false;
-        auto it = lru_.end();
-        do {
-            --it;
-            const auto mit = map_.find((*it)->view());
-            SUIT_ASSERT(mit != map_.end(),
-                        "trace cache LRU list out of sync");
-            Entry &entry = mit->second;
-            if (!entry.accounted)
-                continue;
-            bytes_ -= entry.slot->bytes;
-            lru_.erase(it);
-            map_.erase(mit);
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-            evicted = true;
-            break;
-        } while (it != lru_.begin());
-        if (!evicted)
-            break; // everything resident is in flight; transient
+    // A racing waiter may have accounted the entry already, and the
+    // hand may even have evicted it and a new miss re-inserted it.
+    const auto it = shard.map.find(key);
+    if (it == shard.map.end() || it->second.slot.get() != &slot)
+        return;
+    Entry &entry = it->second;
+    entry.trace = slot.trace;
+    entry.bytes = slot.bytes;
+    entry.slot.reset();
+    bytes_ += entry.bytes;
+    clock_.push_back(&it->first);
+}
+
+std::uint64_t
+TraceCache::sweepLocked()
+{
+    // Every key on the clock is accounted, so two passes suffice: the
+    // first clears every reference bit it meets, the second evicts.
+    std::uint64_t evicted = 0;
+    std::size_t budget = 2 * clock_.size();
+    while (bytes_ > capacity_ && budget-- != 0) {
+        const Key *key = clock_.front();
+        clock_.pop_front();
+        Shard &shard = shardFor(key->view());
+        std::lock_guard lock(shard.mu);
+        const auto it = shard.map.find(key->view());
+        SUIT_ASSERT(it != shard.map.end(),
+                    "trace cache clock out of sync with its map");
+        Entry &entry = it->second;
+        if (entry.referenced) {
+            entry.referenced = false;
+            clock_.push_back(key);
+            continue;
+        }
+        bytes_ -= entry.bytes;
+        shard.map.erase(it);
+        ++evicted;
     }
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    return evicted;
 }
 
 std::size_t
 TraceCache::entries() const
 {
-    std::lock_guard lock(mu_);
-    return map_.size();
+    std::size_t n = 0;
+    for (const Shard &shard : shards_) {
+        std::lock_guard lock(shard.mu);
+        n += shard.map.size();
+    }
+    return n;
 }
 
 std::uint64_t
 TraceCache::hits() const
 {
-    return hits_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const Shard &shard : shards_)
+        n += shard.hits.load(std::memory_order_relaxed);
+    return n;
 }
 
 std::uint64_t
@@ -250,7 +217,7 @@ TraceCache::evictions() const
 std::size_t
 TraceCache::residentBytes() const
 {
-    std::lock_guard lock(mu_);
+    std::lock_guard lock(clockMu_);
     return bytes_;
 }
 

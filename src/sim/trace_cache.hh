@@ -6,46 +6,47 @@
  * harnesses re-run the same workloads under many configurations
  * (Table 6 alone revisits each (CPU, workload, seed) pair once per
  * strategy x offset cell), so generation is memoised.  Each entry is
- * generated exactly once via std::call_once, without holding the map
+ * generated exactly once via std::call_once, without holding any
  * lock during generation (so distinct traces generate in parallel).
  *
- * The cache is *bounded*: resident bytes (Trace::memoryBytes()) are
- * capped and the least-recently-used entries are evicted once an
- * insertion exceeds the cap.  Eviction is safe against concurrent
- * readers because get() hands out std::shared_ptr<const Trace> —
- * an evicted trace stays alive until its last user drops the pin —
- * and it is *deterministic-by-construction*: a trace is a pure
- * function of its key, so regenerating an evicted entry yields the
- * same bytes and the simulation output cannot depend on eviction
- * order.  Entries still generating (slot not yet populated) are
- * never evicted.
+ * The map is split into kShards cache-line-aligned shards, picked
+ * from the key's hash, each with its own mutex.  A hit locks only its
+ * key's shard, sets the entry's CLOCK reference bit if it is clear
+ * and copies the pin: nothing shared by all keys is written, so
+ * concurrent hits on different keys do not serialise.
  *
- * Lookups are hit-dominated under the sweep engine (thousands of
- * get() calls against a few dozen distinct traces), so the hot path
- * stays allocation-light: the map is hashed and uses a transparent
- * key view (a hit neither copies the profile name nor walks an
- * ordered tree), and the hit/miss/eviction counters are relaxed
- * atomics readable without the mutex.
+ * The cache is *bounded*: resident bytes (Trace::memoryBytes()) are
+ * capped, and once an insertion exceeds the cap a CLOCK
+ * (second-chance) hand evicts entries that were not referenced since
+ * it last passed them.  Eviction is safe against concurrent readers
+ * because get() hands out std::shared_ptr<const Trace> — an evicted
+ * trace stays alive until its last user drops the pin — and it is
+ * *deterministic-by-construction*: a trace is a pure function of its
+ * key, so regenerating an evicted entry yields the same bytes and the
+ * simulation output cannot depend on eviction order.  Entries still
+ * generating are not on the clock and are never evicted.
  */
 
 #ifndef SUIT_SIM_TRACE_CACHE_HH
 #define SUIT_SIM_TRACE_CACHE_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "trace/profile.hh"
 #include "trace/trace.hh"
 
 namespace suit::sim {
 
-/** Keyed LRU store of generated traces, safe for concurrent use. */
+/** Keyed CLOCK store of generated traces, safe for concurrent use. */
 class TraceCache
 {
   public:
@@ -77,11 +78,10 @@ class TraceCache
 
     /**
      * Pin streams [0, @p streams) of (@p profile, @p seed) into
-     * @p out (cleared first, capacity reused), taking the map lock
-     * once for the whole batch instead of once per stream — the
-     * multi-stream domain hot path.  Each pin is exactly what get()
-     * would return; generation of missing entries still happens
-     * outside the lock.
+     * @p out (cleared first, capacity reused) — the multi-stream
+     * domain hot path.  Each pin is exactly what get() would return;
+     * missing entries are generated outside every lock and accounted
+     * in one pass of the clock.
      */
     void getMany(const suit::trace::WorkloadProfile &profile,
                  std::uint64_t seed, int streams,
@@ -106,54 +106,76 @@ class TraceCache
     std::size_t capacityBytes() const { return capacity_; }
 
   private:
+    /** FNV-1a over (name bytes, seed, stream). */
+    static std::uint64_t hashKey(std::string_view name,
+                                 std::uint64_t seed, int stream)
+    {
+        std::uint64_t h = 1469598103934665603ULL;
+        const auto mix = [&h](unsigned char byte) {
+            h ^= byte;
+            h *= 1099511628211ULL;
+        };
+        for (const char c : name)
+            mix(static_cast<unsigned char>(c));
+        for (int i = 0; i < 8; ++i)
+            mix(static_cast<unsigned char>(seed >> (8 * i)));
+        const auto s = static_cast<std::uint32_t>(stream);
+        for (int i = 0; i < 4; ++i)
+            mix(static_cast<unsigned char>(s >> (8 * i)));
+        return h;
+    }
+
     /**
      * Borrowed view of a cache key; lookups build this instead of a
      * std::string-owning key, so a cache hit performs no allocation.
      * Profiles are identified by name (the profile database owns one
-     * immutable profile per name).
+     * immutable profile per name).  The hash is computed once, when
+     * the view is built, and serves both the shard pick and the
+     * shard's map.
      */
     struct KeyView
     {
         std::string_view name;
         std::uint64_t seed = 0;
         int stream = 0;
+        std::uint64_t hash = 0;
+
+        KeyView(std::string_view n, std::uint64_t s, int st)
+            : KeyView(n, s, st, hashKey(n, s, st))
+        {}
+        KeyView(std::string_view n, std::uint64_t s, int st,
+                std::uint64_t h)
+            : name(n), seed(s), stream(st), hash(h)
+        {}
     };
 
-    /** Owning key stored in the map. */
+    /** Owning key stored in the map, with its hash. */
     struct Key
     {
         std::string name;
         std::uint64_t seed = 0;
         int stream = 0;
+        std::uint64_t hash = 0;
 
-        KeyView view() const { return {name, seed, stream}; }
+        explicit Key(const KeyView &v)
+            : name(v.name), seed(v.seed), stream(v.stream), hash(v.hash)
+        {}
+
+        KeyView view() const { return {name, seed, stream, hash}; }
     };
 
-    /** Transparent FNV-1a hash over (name bytes, seed, stream). */
+    /** Transparent hash: both key forms carry it precomputed. */
     struct KeyHash
     {
         using is_transparent = void;
 
         std::size_t operator()(const KeyView &k) const
         {
-            std::uint64_t h = 1469598103934665603ULL;
-            const auto mix = [&h](unsigned char byte) {
-                h ^= byte;
-                h *= 1099511628211ULL;
-            };
-            for (const char c : k.name)
-                mix(static_cast<unsigned char>(c));
-            for (int i = 0; i < 8; ++i)
-                mix(static_cast<unsigned char>(k.seed >> (8 * i)));
-            const auto stream = static_cast<std::uint32_t>(k.stream);
-            for (int i = 0; i < 4; ++i)
-                mix(static_cast<unsigned char>(stream >> (8 * i)));
-            return static_cast<std::size_t>(h);
+            return static_cast<std::size_t>(k.hash);
         }
-
         std::size_t operator()(const Key &k) const
         {
-            return (*this)(k.view());
+            return static_cast<std::size_t>(k.hash);
         }
     };
 
@@ -164,8 +186,8 @@ class TraceCache
 
         bool operator()(const KeyView &a, const KeyView &b) const
         {
-            return a.seed == b.seed && a.stream == b.stream &&
-                   a.name == b.name;
+            return a.hash == b.hash && a.seed == b.seed &&
+                   a.stream == b.stream && a.name == b.name;
         }
         bool operator()(const Key &a, const KeyView &b) const
         {
@@ -182,12 +204,10 @@ class TraceCache
     };
 
     /**
-     * Generation slot, shared between the map entry and any get()
-     * caller racing the generator.  Lives on after eviction until
-     * the last pin drops.  `trace` and `bytes` are written once
-     * inside call_once; readers synchronise through the once_flag
-     * (generator races) or the cache mutex (eviction scans, which
-     * only look at accounted entries).
+     * Generation slot, shared between an in-flight map entry and any
+     * caller racing the generator.  `trace` and `bytes` are written
+     * once inside call_once and read only after it returns; the
+     * accounting pass then copies them into the entry.
      */
     struct Slot
     {
@@ -196,25 +216,77 @@ class TraceCache
         std::size_t bytes = 0;
     };
 
+    /**
+     * Map value; every field is guarded by its shard's mutex.  In
+     * flight, `slot` is set and `trace` is null; once generated and
+     * accounted, `trace` holds the cache's pin (a hit copies it
+     * without touching the slot) and `slot` is released.
+     */
     struct Entry
     {
         std::shared_ptr<Slot> slot;
-        /** Position in lru_ (front = most recently used). */
-        std::list<const Key *>::iterator lruIt;
-        /** True once `bytes_` includes this entry (generation done). */
-        bool accounted = false;
+        std::shared_ptr<const suit::trace::Trace> trace;
+        /** Resident bytes charged for `trace`. */
+        std::size_t bytes = 0;
+        /** CLOCK reference bit: set by a lookup, cleared by the hand. */
+        bool referenced = false;
     };
 
-    /** Evict accounted LRU entries until bytes_ <= capacity_. */
-    void evictLocked();
+    /** One lock domain; aligned so shards never share a line. */
+    struct alignas(64) Shard
+    {
+        mutable std::mutex mu;
+        std::unordered_map<Key, Entry, KeyHash, KeyEq> map;
+        /** Written only under `mu`; read lock-free by hits(). */
+        std::atomic<std::uint64_t> hits{0};
 
-    mutable std::mutex mu_;
-    std::unordered_map<Key, Entry, KeyHash, KeyEq> map_;
-    /** Recency order; points at map node keys (stable addresses). */
-    std::list<const Key *> lru_;
+        /** Count one hit; caller holds `mu`, so no RMW is needed. */
+        void countHit()
+        {
+            hits.store(hits.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+        }
+    };
+
+    static constexpr int kShardBits = 6;
+    static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+
+    Shard &shardFor(const KeyView &key)
+    {
+        // The top bits: the maps index buckets by the low ones.
+        return shards_[key.hash >> (64 - kShardBits)];
+    }
+
+    /**
+     * Pin streams [@p first, @p first + @p count) of (@p profile,
+     * @p seed) into out[0, count): the body of get() and getMany().
+     */
+    void pin(const suit::trace::WorkloadProfile &profile,
+             std::uint64_t seed, int first, int count,
+             std::shared_ptr<const suit::trace::Trace> *out);
+
+    /**
+     * Publish @p slot's trace in its entry, cost its bytes and put
+     * its key on the clock, if @p shard still maps @p key to that
+     * slot in flight.  Caller holds clockMu_ and the shard's mutex.
+     */
+    void accountLocked(Shard &shard, const KeyView &key,
+                       const Slot &slot);
+
+    /**
+     * Run the second-chance hand until bytes_ <= capacity_; returns
+     * the entries evicted.  Caller holds clockMu_ (and no shard).
+     */
+    std::uint64_t sweepLocked();
+
+    std::array<Shard, kShards> shards_;
+
+    /** Guards clock_ and bytes_; taken before any shard mutex. */
+    mutable std::mutex clockMu_;
+    /** Accounted keys in hand order; point at map node keys. */
+    std::deque<const Key *> clock_;
     std::size_t capacity_;
     std::size_t bytes_ = 0;
-    std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
 };

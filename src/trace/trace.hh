@@ -90,7 +90,7 @@ class Trace
 
     /**
      * Approximate heap footprint of this trace (object header plus
-     * event and prefix-index storage).  Drives the trace cache's LRU
+     * event and prefix-index storage).  Drives the trace cache's CLOCK
      * byte accounting.
      */
     std::size_t memoryBytes() const

@@ -2,9 +2,11 @@
  * @file
  * Session ownership tests: worker-count resolution, serial mode, the
  * per-worker SimWorkspace slots, the opt-in worker pinning option,
- * and the shared bounded TraceCache — LRU eviction under a tiny
- * capacity, pinned traces surviving their own eviction, and
- * bit-identical regeneration of an evicted trace.
+ * and the shared bounded TraceCache as a session sees it — eviction
+ * under a tiny capacity, pinned traces surviving their own eviction,
+ * and bit-identical regeneration of an evicted trace.  The cache's
+ * eviction policy and concurrency have their own suite
+ * (test_trace_cache.cc).
  */
 
 #include <memory>
@@ -19,11 +21,13 @@
 #include "sim/workspace.hh"
 #include "trace/profile.hh"
 #include "trace/trace.hh"
+#include "trace_equality.hh"
 
 namespace {
 
 using namespace suit;
 using runtime::Session;
+using suit::testing::expectIdenticalTraces;
 
 TEST(Session, SerialModeHasNoPool)
 {
@@ -59,21 +63,6 @@ TEST(Session, TraceCacheCapacityComesFromTheConfig)
     Session session({1, 0, std::size_t{8} << 20});
     EXPECT_EQ(session.traceCache().capacityBytes(),
               std::size_t{8} << 20);
-}
-
-/** Bitwise equality of two traces (the regeneration witness). */
-void
-expectIdenticalTraces(const trace::Trace &a, const trace::Trace &b)
-{
-    EXPECT_EQ(a.name(), b.name());
-    EXPECT_EQ(a.totalInstructions(), b.totalInstructions());
-    EXPECT_EQ(a.ipc(), b.ipc());
-    EXPECT_EQ(a.eventWeight(), b.eventWeight());
-    ASSERT_EQ(a.events().size(), b.events().size());
-    for (std::size_t i = 0; i < a.events().size(); ++i) {
-        EXPECT_EQ(a.events()[i].gap, b.events()[i].gap);
-        EXPECT_EQ(a.events()[i].kind, b.events()[i].kind);
-    }
 }
 
 TEST(Session, TinyCacheEvictsButPinnedTracesStayValid)

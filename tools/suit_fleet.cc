@@ -94,7 +94,7 @@ main(int argc, char **argv)
                    "wall-clock budget in seconds; on expiry the run "
                    "stops gracefully like Ctrl-C (0 = none)");
     args.addOption("trace-cache-mb", "256",
-                   "trace cache capacity in MiB (LRU eviction above "
+                   "trace cache capacity in MiB (CLOCK eviction above "
                    "it)");
     obs::addCliOptions(args);
     if (!args.parse(argc, argv))

@@ -24,6 +24,7 @@
 #include "runtime/run_context.hh"
 #include "runtime/session.hh"
 #include "sim/evaluation.hh"
+#include "sim/trace_cache.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
 #include "trace/profile.hh"
@@ -242,7 +243,7 @@ main(int argc, char **argv)
                    "expiry the run stops gracefully like Ctrl-C "
                    "(0 = none)");
     args.addOption("trace-cache-mb", "256",
-                   "trace cache capacity in MiB (LRU eviction above "
+                   "trace cache capacity in MiB (CLOCK eviction above "
                    "it)");
     args.addFlag("nosimd", "model a binary compiled without SIMD");
     args.addFlag("verbose", "also print switch/trap counters");
@@ -264,7 +265,9 @@ main(int argc, char **argv)
 
     sim::EvalConfig cfg;
     cfg.cpu = &cpu;
-    cfg.cores = static_cast<int>(args.getIntInRange("cores", 1, 1024));
+    // One trace stream per core of a shared domain: the cache's cap.
+    cfg.cores = static_cast<int>(
+        args.getIntInRange("cores", 1, sim::TraceCache::kMaxStreams));
     cfg.offsetMv = args.getDouble("offset");
     cfg.params = core::optimalParams(cpu);
     cfg.seed = static_cast<std::uint64_t>(

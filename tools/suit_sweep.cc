@@ -18,7 +18,7 @@
  * are skipped, and the exit code is 130 (a second Ctrl-C kills
  * immediately; the journal stays valid).  --deadline-s arms a
  * wall-clock budget with the same graceful-stop semantics, and
- * --trace-cache-mb bounds the session's trace cache (LRU eviction;
+ * --trace-cache-mb bounds the session's trace cache (CLOCK eviction;
  * evicted traces regenerate bit-identically).  A throwing cell is
  * retried
  * --retries times and then recorded as failed instead of aborting
@@ -50,6 +50,7 @@
 #include "runtime/run_context.hh"
 #include "runtime/session.hh"
 #include "sim/evaluation.hh"
+#include "sim/trace_cache.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
 #include "util/format.hh"
@@ -83,7 +84,11 @@ splitList(const std::string &value)
     return out;
 }
 
-/** Checked parse of one --cores list item (must be >= 1). */
+/**
+ * Checked parse of one --cores list item: 1 .. TraceCache::kMaxStreams
+ * (a shared domain replays one trace stream per core; the fleet
+ * spec's per-domain core cap is the same).
+ */
 int
 coreCountByName(const std::string &value)
 {
@@ -93,10 +98,10 @@ coreCountByName(const std::string &value)
                     value.c_str());
     if (cores < 1)
         util::fatal("--cores values must be >= 1, got %ld", cores);
-    if (cores > 1024)
-        util::fatal("--cores value %ld is not a plausible core "
-                    "count",
-                    cores);
+    if (cores > sim::TraceCache::kMaxStreams)
+        util::fatal("--cores value %ld exceeds the %d cores a "
+                    "simulated domain supports",
+                    cores, sim::TraceCache::kMaxStreams);
     return static_cast<int>(cores);
 }
 
@@ -221,7 +226,7 @@ main(int argc, char **argv)
                    "wall-clock budget in seconds; on expiry the "
                    "sweep stops gracefully like Ctrl-C (0 = none)");
     args.addOption("trace-cache-mb", "256",
-                   "trace cache capacity in MiB (LRU eviction above "
+                   "trace cache capacity in MiB (CLOCK eviction above "
                    "it)");
     args.addFlag("nosimd", "model binaries compiled without SIMD");
     obs::addCliOptions(args);
@@ -383,7 +388,7 @@ main(int argc, char **argv)
 
     // Footer goes to stderr so it never pollutes CSV-on-stdout.
     // Hit rate is hits/(hits+misses): misses counts every
-    // generation, so the rate stays correct when LRU eviction makes
+    // generation, so the rate stays correct when eviction makes
     // a trace regenerate (entries() only counts residents).
     const sim::TraceCache &cache = engine.traceCache();
     const std::uint64_t trace_hits = cache.hits();
