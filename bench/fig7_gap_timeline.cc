@@ -35,8 +35,11 @@ main()
     std::printf("%-18s %-14s %s\n", "instruction index", "gap size",
                 "log10(gap)");
     int shown = 0;
+    std::uint64_t pos = 0; // stream position after the previous event
     for (std::size_t i = 0; i < t.eventCount() && shown < 18; ++i) {
         const auto &e = t.events()[i];
+        const std::uint64_t index = pos + e.gap;
+        pos = index + 1;
         if (e.gap < 100 * profile.eventWeight)
             continue; // inside a burst
         int log10 = 0;
@@ -44,7 +47,7 @@ main()
             ++log10;
         std::printf("%-18s %-14s %d\n",
                     util::sformat("%.3e",
-                                  static_cast<double>(t.eventIndex(i)))
+                                  static_cast<double>(index))
                         .c_str(),
                     util::sformat("%.2e", static_cast<double>(e.gap))
                         .c_str(),

@@ -95,26 +95,36 @@ BENCHMARK(BM_AesencBitsliced);
 /**
  * Trace generation over the 23 SPEC profiles, so the kind sampler
  * meets the same mixes as a SPEC sweep does; items are generated
- * events.
+ * events.  time_per_event is the generation cost per event (printed
+ * in ns) and bytes_per_event the resident trace size per event
+ * (memoryBytes(), what the trace cache charges), header and name
+ * included.
  */
 void
-BM_TraceGeneration(benchmark::State &state)
+BM_TraceGenerate(benchmark::State &state)
 {
     const std::vector<trace::WorkloadProfile> profiles =
         trace::specProfiles();
     std::uint64_t seed = 1;
     std::int64_t events = 0;
+    std::uint64_t bytes = 0;
     for (auto _ : state) {
         const trace::TraceGenerator gen(seed++);
         for (const trace::WorkloadProfile &profile : profiles) {
             const trace::Trace t = gen.generate(profile);
             benchmark::DoNotOptimize(t.events().data());
             events += static_cast<std::int64_t>(t.eventCount());
+            bytes += t.memoryBytes();
         }
     }
     state.SetItemsProcessed(events);
+    const double n = static_cast<double>(events);
+    state.counters["time_per_event"] = benchmark::Counter(
+        n, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["bytes_per_event"] =
+        benchmark::Counter(static_cast<double>(bytes) / n);
 }
-BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
 
 void
 BM_DomainSimulation(benchmark::State &state)

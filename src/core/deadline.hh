@@ -28,14 +28,22 @@ class DeadlineTimer
 
     /**
      * A faultable instruction executed at @p now: restart the
-     * count-down (no-op while disarmed).  Inline: the simulator's
-     * batched native windows call this once per consumed event.
+     * count-down (no-op while disarmed).
      */
-    void touch(suit::util::Tick now)
+    void touch(suit::util::Tick now) { touchMany(now, 1); }
+
+    /**
+     * @p count faultable instructions executed, the last at @p last:
+     * the same state as @p count touch() calls in time order, since
+     * only the last one sets the expiry.  The simulator's native
+     * windows track the expiry in a register and call this once per
+     * window.
+     */
+    void touchMany(suit::util::Tick last, std::uint64_t count)
     {
-        if (armed_) {
-            expiry_ = now + reload_;
-            ++resets_;
+        if (armed_ && count > 0) {
+            expiry_ = last + reload_;
+            resets_ += count;
         }
     }
 
@@ -44,6 +52,9 @@ class DeadlineTimer
 
     /** True while armed. */
     bool armed() const { return armed_; }
+
+    /** Count-down length set by the last arm(). */
+    suit::util::Tick reload() const { return reload_; }
 
     /**
      * Absolute expiry time (valid only while armed).  Inline: read

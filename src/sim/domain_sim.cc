@@ -190,8 +190,8 @@ DomainSimulator::reset(const SimConfig &config,
             remaining_[i] =
                 static_cast<double>(w.trace->totalInstructions());
         } else {
-            remaining_[i] =
-                static_cast<double>(w.trace->events()[0].gap);
+            core.eventPos = w.trace->events()[0].gap;
+            remaining_[i] = static_cast<double>(core.eventPos);
         }
         cores_.push_back(core);
     }
@@ -572,8 +572,9 @@ DomainSimulator::consumeEvent(std::size_t i)
     const auto &events = core.work.trace->events();
     ++core.nextEvent;
     if (core.nextEvent < events.size()) {
-        remaining_[i] =
-            static_cast<double>(events[core.nextEvent].gap);
+        const std::uint64_t gap = events[core.nextEvent].gap;
+        remaining_[i] = static_cast<double>(gap);
+        core.eventPos += gap + 1;
     } else {
         // Drain the instructions after the last faultable one.
         remaining_[i] =
@@ -608,7 +609,8 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
                         suit::obs::TraceSession::simUs(now_),
                         "do-trap", "sim",
                         {{"kind", suit::isa::toString(event.kind)},
-                         {"core", static_cast<int>(i)}});
+                         {"core", static_cast<int>(i)},
+                         {"index", core.eventPos}});
     }
     trappingCore_ = i;
     resume_[i] = std::max(
@@ -618,7 +620,7 @@ DomainSimulator::handleFaultableInstruction(std::size_t i)
 
     suit::os::TrapFrame frame;
     frame.kind = event.kind;
-    frame.instructionIndex = core.work.trace->eventIndex(core.nextEvent);
+    frame.instructionIndex = core.eventPos;
     frame.coreId = static_cast<int>(i);
     frame.when = now_;
 
@@ -696,52 +698,82 @@ DomainSimulator::runNativeWindowSingle(std::uint64_t &budget)
     const double rate = rates_[static_cast<std::size_t>(sidx)];
     const double pf = powerTbl_[sidx];
     const bool suit_mode = cfg_.mode == RunMode::Suit;
-    const Tick run_cap = pending_ ? pending_->runUntil : kNever;
-    const Tick complete_at = pending_ ? pending_->completeAt : kNever;
-    const auto &events = core.work.trace->events();
+    const bool has_pending = pending_.has_value();
+    const Tick run_cap = has_pending ? pending_->runUntil : kNever;
+    const Tick complete_at = has_pending ? pending_->completeAt : kNever;
+    const suit::trace::FaultableEvent *const events =
+        core.work.trace->events().data();
+    const std::size_t n_events = core.work.trace->eventCount();
+    // Everything the loop updates lives in locals, written back once
+    // after it: through members the compiler must assume the stores
+    // alias and reloads them on every event.  The accumulators see
+    // the same additions in the same order.  The timer stays armed
+    // in-window (singleWindowOpen()), so each native event's touch()
+    // only moves the expiry: track it here, count the touches, and
+    // apply them as one touchMany().
     const std::size_t window_first = core.nextEvent;
+    std::size_t next = window_first;
+    std::uint64_t pos = core.eventPos;
+    std::uint64_t steps = budget;
+    double power_s = powerIntegralS_;
+    double active_s = activeTimeS_;
+    double state_s = stateTimeS_[sidx];
+    const Tick reload = timer_.reload();
+    Tick expiry = suit_mode ? timer_.expiry() : kNever;
     double remaining = remaining_[0];
+    bool past_last = false; // singleWindowOpen() checked it
 
     Tick t = now_;
-    while (!core.pastLastEvent) {
-        if (pending_ && t >= run_cap)
+    while (!past_last) {
+        if (has_pending && t >= run_cap)
             break; // frozen from t on: the transition goes first
         const Tick arrival = t + windowSecondsToTicks(remaining / rate);
         // Stop where another event source outranks the core arrival
         // (the loop's tie order: transitions > timers > cores).
-        if (suit_mode && arrival >= timer_.expiry())
+        if (suit_mode && arrival >= expiry)
             break;
-        if (pending_ && (arrival > run_cap || arrival >= complete_at))
+        if (has_pending && (arrival > run_cap || arrival >= complete_at))
             break;
-        SUIT_ASSERT(budget-- > 0, "simulation step budget exhausted");
+        SUIT_ASSERT(steps-- > 0, "simulation step budget exhausted");
         if (arrival > t) {
             // Replay the reference accumulator sequence per event —
             // regrouping the sums would change the floating-point
             // results.
             const double dt_s = windowTicksToSeconds(arrival - t);
-            powerIntegralS_ += pf * dt_s;
-            activeTimeS_ += dt_s;
-            stateTimeS_[sidx] += dt_s;
+            power_s += pf * dt_s;
+            active_s += dt_s;
+            state_s += dt_s;
         }
         t = arrival;
-        if (suit_mode)
-            timer_.touch(t);
+        expiry = t + reload;
         // Native execution of the event (consumeEvent() inlined).
-        ++core.nextEvent;
-        if (core.nextEvent < events.size()) {
-            remaining = static_cast<double>(events[core.nextEvent].gap);
+        ++next;
+        if (next < n_events) {
+            const std::uint64_t gap = events[next].gap;
+            remaining = static_cast<double>(gap);
+            pos += gap + 1;
         } else {
             remaining = static_cast<double>(
                 core.work.trace->tailInstructions());
-            core.pastLastEvent = true;
+            past_last = true;
         }
     }
+    const std::uint64_t consumed = next - window_first;
+    if (suit_mode)
+        timer_.touchMany(t, consumed);
+    core.nextEvent = next;
+    core.eventPos = pos;
+    core.pastLastEvent = past_last;
+    budget = steps;
+    powerIntegralS_ = power_s;
+    activeTimeS_ = active_s;
+    stateTimeS_[sidx] = state_s;
     remaining_[0] = remaining;
     now_ = t;
     arrivalStale_[0] = 1;
     // One delta per window instead of a per-event increment keeps the
     // always-on counter out of the hot loop body.
-    batchedEvents_ += core.nextEvent - window_first;
+    batchedEvents_ += consumed;
 }
 
 void
@@ -773,6 +805,13 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
     // dt — the per-lane clip below vanishes.
     const bool plain = !stalls_possible && !has_pending;
     const bool fn_scan = useFnScan(n);
+    // As in runNativeWindowSingle(): the accumulators and the timer's
+    // expiry live in locals and are written back once per window.
+    double power_s = powerIntegralS_;
+    double active_s = activeTimeS_;
+    double state_s = stateTimeS_[sidx];
+    const Tick reload = timer_.reload();
+    Tick expiry = suit_mode ? timer_.expiry() : kNever;
 
     std::uint64_t consumed = 0;
     Tick t = now_;
@@ -806,7 +845,7 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
         // the winner needs the generic loop (tail drain, finish).
         if (m == kNever)
             break;
-        if (suit_mode && m >= timer_.expiry())
+        if (suit_mode && m >= expiry)
             break;
         if (has_pending && m >= complete_at)
             break;
@@ -821,9 +860,9 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
             const double dt_s = windowTicksToSeconds(m - t);
             const double pw_s = pf * dt_s;
             for (std::size_t k = 0; k < active; ++k) {
-                powerIntegralS_ += pw_s;
-                activeTimeS_ += dt_s;
-                stateTimeS_[sidx] += dt_s;
+                power_s += pw_s;
+                active_s += dt_s;
+                state_s += dt_s;
             }
             if (plain) {
                 for (std::size_t i = 0; i < n; ++i) {
@@ -844,14 +883,14 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
             }
             t = m;
         }
-        if (suit_mode)
-            timer_.touch(t);
+        expiry = t + reload;
         // (5) Native execution of the winner (consumeEvent inlined).
         ++core.nextEvent;
         const auto &events = core.work.trace->events();
         if (core.nextEvent < events.size()) {
-            remaining[win] =
-                static_cast<double>(events[core.nextEvent].gap);
+            const std::uint64_t gap = events[core.nextEvent].gap;
+            remaining[win] = static_cast<double>(gap);
+            core.eventPos += gap + 1;
         } else {
             remaining[win] = static_cast<double>(
                 core.work.trace->tailInstructions());
@@ -859,6 +898,11 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
         }
         ++consumed;
     }
+    if (suit_mode)
+        timer_.touchMany(t, consumed);
+    powerIntegralS_ = power_s;
+    activeTimeS_ = active_s;
+    stateTimeS_[sidx] = state_s;
     now_ = t;
     // The final scan above ran after the last mutation, so arrival_
     // holds exactly what coreArrivalFast() would recompute at now_:

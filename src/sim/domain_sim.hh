@@ -240,6 +240,12 @@ class DomainSimulator final : public suit::core::CpuControl
     {
         CoreWork work;
         std::size_t nextEvent = 0;  //!< index into trace events
+        /**
+         * Stream position of event nextEvent: its gap, plus gap + 1
+         * for every event consumed before it.  Fills the trap frame's
+         * instructionIndex; the trace stores no prefix index.
+         */
+        std::uint64_t eventPos = 0;
         bool pastLastEvent = false; //!< draining the tail
         bool done = false;
         suit::util::Tick finishTime = 0;

@@ -50,7 +50,12 @@ namespace suit::sim {
 class TraceCache
 {
   public:
-    /** Default capacity: 256 MiB of resident trace data. */
+    /**
+     * Default capacity: 256 MiB of resident trace data.  At 8 bytes
+     * per event (DESIGN.md, "Trace representation") that holds
+     * ~3.6x (SPEC) to ~4.6x (fleet) the traces it did with 16-byte
+     * events and a prefix index.
+     */
     static constexpr std::size_t kDefaultCapacityBytes =
         std::size_t{256} << 20;
 

@@ -98,6 +98,10 @@ TraceGenerator::generate(const WorkloadProfile &profile,
         }
     }
 
+    // Exact-size storage: memoryBytes(), which the trace cache
+    // charges, then counts no reservation slack (DESIGN.md, "Trace
+    // representation").
+    events.shrink_to_fit();
     return Trace(profile.name, total, profile.ipc, std::move(events),
                  profile.eventWeight);
 }

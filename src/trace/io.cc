@@ -93,9 +93,13 @@ bytesLeft(std::istream &is)
  * events to reserve.
  */
 std::size_t
-checkHeader(std::istream &is, double ipc, double weight,
-            std::uint64_t count)
+checkHeader(std::istream &is, std::uint64_t total, double ipc,
+            double weight, std::uint64_t count)
 {
+    if (total >= kMaxTraceInstructions)
+        fatal("trace header claims %llu instructions; streams must be "
+              "shorter than 2^%u",
+              static_cast<unsigned long long>(total), kGapBits);
     if (!(ipc > 0.0))
         fatal("trace header has a non-positive IPC (%g)", ipc);
     if (!(weight >= 1.0))
@@ -178,7 +182,7 @@ readText(std::istream &is)
     }
 
     std::vector<FaultableEvent> events;
-    events.reserve(checkHeader(is, ipc, weight, count));
+    events.reserve(checkHeader(is, total, ipc, weight, count));
     std::uint64_t pos = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t gap = 0;
@@ -234,7 +238,7 @@ readBinary(std::istream &is)
     const std::uint64_t count = readVarint(is);
 
     std::vector<FaultableEvent> events;
-    events.reserve(checkHeader(is, ipc, weight, count));
+    events.reserve(checkHeader(is, total, ipc, weight, count));
     std::uint64_t pos = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t gap = readVarint(is);

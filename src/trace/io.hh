@@ -35,8 +35,9 @@ void writeText(const Trace &trace, std::ostream &os);
 
 /**
  * Parse a text-format trace; fatal() on malformed input.  Validates
- * the header (IPC > 0, weight >= 1, an event count the rest of the
- * stream can hold) before allocating, and every event position
+ * the header (a stream length below kMaxTraceInstructions, IPC > 0,
+ * weight >= 1, an event count the rest of the stream can hold) before
+ * allocating, and every event position
  * against the stream length, so no input can trip the Trace
  * constructor's asserts.
  */

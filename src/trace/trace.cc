@@ -17,18 +17,23 @@ Trace::Trace(std::string name, std::uint64_t total_instructions,
                 name_.c_str());
     SUIT_ASSERT(eventWeight_ >= 1.0,
                 "trace '%s' needs a weight >= 1", name_.c_str());
-    prefixIndex_.reserve(events_.size());
+    SUIT_ASSERT(totalInstructions_ < kMaxTraceInstructions,
+                "trace '%s': stream length %llu needs more than %u bits",
+                name_.c_str(),
+                static_cast<unsigned long long>(totalInstructions_),
+                kGapBits);
+    // Every gap is below 2^56 and the position stays <= total < 2^56
+    // between steps, so the running sum cannot wrap.
     std::uint64_t pos = 0;
     for (const FaultableEvent &e : events_) {
-        pos += e.gap;
-        prefixIndex_.push_back(pos);
-        ++pos; // the faultable instruction itself
+        pos += e.gap + 1; // the gap, then the faultable instruction
+        SUIT_ASSERT(pos <= totalInstructions_,
+                    "trace '%s': events (%llu instrs) exceed stream "
+                    "length (%llu)",
+                    name_.c_str(), static_cast<unsigned long long>(pos),
+                    static_cast<unsigned long long>(totalInstructions_));
     }
-    SUIT_ASSERT(pos <= totalInstructions_,
-                "trace '%s': events (%llu instrs) exceed stream length "
-                "(%llu)",
-                name_.c_str(), static_cast<unsigned long long>(pos),
-                static_cast<unsigned long long>(totalInstructions_));
+    lastEventIndex_ = events_.empty() ? 0 : pos - 1;
 }
 
 double
@@ -45,22 +50,13 @@ Trace::tailInstructions() const
 {
     if (events_.empty())
         return totalInstructions_;
-    const std::uint64_t last_index = prefixIndex_.back();
-    SUIT_ASSERT(last_index < totalInstructions_,
+    SUIT_ASSERT(lastEventIndex_ < totalInstructions_,
                 "trace '%s' is inconsistent: last event at index %llu "
                 "but the stream is only %llu instructions long",
                 name_.c_str(),
-                static_cast<unsigned long long>(last_index),
+                static_cast<unsigned long long>(lastEventIndex_),
                 static_cast<unsigned long long>(totalInstructions_));
-    return totalInstructions_ - last_index - 1;
-}
-
-std::uint64_t
-Trace::eventIndex(std::size_t i) const
-{
-    SUIT_ASSERT(i < prefixIndex_.size(), "event index %zu out of range",
-                i);
-    return prefixIndex_[i];
+    return totalInstructions_ - lastEventIndex_ - 1;
 }
 
 TraceStats

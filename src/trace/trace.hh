@@ -25,14 +25,30 @@
 
 namespace suit::trace {
 
-/** One faultable-instruction occurrence in a trace. */
+/**
+ * Bits of FaultableEvent::gap.  Trace requires every stream to be
+ * shorter than 2^kGapBits instructions, so any in-stream gap fits.
+ */
+constexpr unsigned kGapBits = 56;
+
+/** Exclusive upper bound on Trace::totalInstructions(). */
+constexpr std::uint64_t kMaxTraceInstructions = std::uint64_t{1}
+                                                << kGapBits;
+
+/**
+ * One faultable-instruction occurrence in a trace, packed into one
+ * 64-bit word: a fleet keeps thousands of traces resident, and the
+ * event array is nearly all of their bytes.
+ */
 struct FaultableEvent
 {
     /** Ordinary instructions executed since the previous event. */
-    std::uint64_t gap = 0;
+    std::uint64_t gap : kGapBits = 0;
     /** Which faultable instruction occurred. */
-    suit::isa::FaultableKind kind = suit::isa::FaultableKind::IMUL;
+    suit::isa::FaultableKind kind : 8 = suit::isa::FaultableKind::IMUL;
 };
+static_assert(sizeof(FaultableEvent) == 8,
+              "FaultableEvent must pack into one 64-bit word");
 
 /** A recorded (or synthesised) instruction stream. */
 class Trace
@@ -42,7 +58,8 @@ class Trace
 
     /**
      * @param name workload label.
-     * @param total_instructions stream length including the events.
+     * @param total_instructions stream length including the events;
+     *        must be below kMaxTraceInstructions.
      * @param ipc average retired instructions per cycle, used to
      *        convert instruction counts to cycles (the paper uses the
      *        INSTRUCTIONS_RETIRED counter for the same purpose).
@@ -73,12 +90,6 @@ class Trace
     double faultableRate() const;
 
     /**
-     * Absolute instruction index of event @p i (0-based position in
-     * the stream).
-     */
-    std::uint64_t eventIndex(std::size_t i) const;
-
-    /**
      * Ordinary instructions after the last faultable event (the tail
      * the simulator drains once every event is consumed).  Panics —
      * instead of wrapping around to ~2^64 — on an inconsistent trace
@@ -89,15 +100,16 @@ class Trace
     std::uint64_t tailInstructions() const;
 
     /**
-     * Approximate heap footprint of this trace (object header plus
-     * event and prefix-index storage).  Drives the trace cache's CLOCK
-     * byte accounting.
+     * Heap footprint of this trace (object header plus name and event
+     * storage).  Drives the trace cache's CLOCK byte accounting.
+     * The generator hands over exact-size event storage, so for a
+     * generated trace this is sizeof(Trace) + name capacity + 8 bytes
+     * per event.
      */
     std::size_t memoryBytes() const
     {
         return sizeof(Trace) + name_.capacity() +
-               events_.capacity() * sizeof(FaultableEvent) +
-               prefixIndex_.capacity() * sizeof(std::uint64_t);
+               events_.capacity() * sizeof(FaultableEvent);
     }
 
   private:
@@ -107,7 +119,7 @@ class Trace
     double ipc_ = 1.0;
     double eventWeight_ = 1.0;
     std::vector<FaultableEvent> events_;
-    std::vector<std::uint64_t> prefixIndex_; //!< cumulative positions
+    std::uint64_t lastEventIndex_ = 0; //!< stream position of the last event
 };
 
 /** Aggregate statistics over a trace (drives Figs. 5 and 7). */

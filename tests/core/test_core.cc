@@ -92,6 +92,32 @@ TEST(DeadlineTimerTest, TouchWhileDisarmedIsNoop)
     EXPECT_FALSE(t.armed());
 }
 
+TEST(DeadlineTimerTest, TouchManyEqualsThatManyTouches)
+{
+    DeadlineTimer one_by_one;
+    DeadlineTimer batched;
+    one_by_one.arm(0, 100);
+    batched.arm(0, 100);
+    for (const Tick now : {10, 40, 90})
+        one_by_one.touch(now);
+    batched.touchMany(90, 3);
+    EXPECT_EQ(batched.expiry(), one_by_one.expiry());
+    EXPECT_EQ(batched.resets(), one_by_one.resets());
+    EXPECT_EQ(batched.resets(), 3u);
+    EXPECT_EQ(batched.reload(), 100u);
+
+    // An empty batch leaves the count-down alone.
+    batched.touchMany(95, 0);
+    EXPECT_EQ(batched.expiry(), 190u);
+    EXPECT_EQ(batched.resets(), 3u);
+
+    // Disarmed, a batch is a no-op like each touch() in it.
+    batched.cancel();
+    batched.touchMany(120, 5);
+    EXPECT_FALSE(batched.armed());
+    EXPECT_EQ(batched.resets(), 3u);
+}
+
 TEST(ThrashDetectorTest, CountsWithinWindow)
 {
     StrategyParams p = fastSwitchParams(); // window 450 us, count 3

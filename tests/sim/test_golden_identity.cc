@@ -268,6 +268,82 @@ TEST(GoldenIdentity, BatchedWindowCounterCoversSingleAndMultiCore)
     }
 }
 
+/** sim.deadline.resets published by one runWorkload() call. */
+std::uint64_t
+deadlineResets(const EvalConfig &config, const trace::WorkloadProfile &p,
+               sim::TraceCache &traces, std::string &bytes)
+{
+    obs::metrics().reset();
+    obs::metrics().setEnabled(true);
+    bytes.clear();
+    sim::serializeResult(sim::runWorkload(config, p, traces), bytes);
+    const obs::Snapshot snap = obs::metrics().snapshot();
+    obs::metrics().setEnabled(false);
+    obs::metrics().reset();
+    const obs::MetricValue *resets = snap.find("sim.deadline.resets");
+    return resets != nullptr ? resets->count : 0;
+}
+
+/**
+ * With the registry on, a single-core SUIT domain must also count the
+ * same deadline-timer restarts on both loops: the native windows
+ * apply a whole window's touches as one DeadlineTimer::touchMany(),
+ * the reference loop calls touch() per event.  No DomainResult field
+ * carries the count, so the byte comparison above cannot see it.
+ */
+TEST(GoldenIdentity, DeadlineResetsMatchReferenceOnSingleCoreSuit)
+{
+    const std::vector<power::CpuModel> cpus = {
+        power::cpuA_i9_9900k(), power::cpuB_ryzen7700x(),
+        power::cpuC_xeon4208()};
+    const std::vector<trace::WorkloadProfile> profiles = {
+        goldenProfile("golden-dense", true),
+        goldenProfile("golden-sparse", false)};
+
+    sim::TraceCache traces;
+    int checked = 0;
+    std::uint64_t total_resets = 0;
+    for (const power::CpuModel &cpu : cpus) {
+        for (const double offset : {-70.0, -97.0}) {
+            for (const ModeCase &mc : modeCases()) {
+                if (mc.mode != RunMode::Suit)
+                    continue;
+                for (const trace::WorkloadProfile &p : profiles) {
+                    EvalConfig cfg;
+                    cfg.cpu = &cpu;
+                    cfg.cores = 1;
+                    cfg.offsetMv = offset;
+                    cfg.mode = mc.mode;
+                    cfg.strategy = mc.strategy;
+                    cfg.params = core::optimalParams(cpu);
+                    cfg.seed = 7;
+
+                    std::string fast_bytes;
+                    std::string ref_bytes;
+                    cfg.referencePath = false;
+                    const std::uint64_t fast =
+                        deadlineResets(cfg, p, traces, fast_bytes);
+                    cfg.referencePath = true;
+                    const std::uint64_t ref =
+                        deadlineResets(cfg, p, traces, ref_bytes);
+                    ASSERT_EQ(fast_bytes, ref_bytes)
+                        << "CPU " << cpu.label() << " offset=" << offset
+                        << " " << mc.label << " " << p.name;
+                    EXPECT_EQ(fast, ref)
+                        << "CPU " << cpu.label() << " offset=" << offset
+                        << " " << mc.label << " " << p.name;
+                    total_resets += ref;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 3 * 2 * 5 * 2);
+    // The switching strategies restart the count-down: the check
+    // must bite.
+    EXPECT_GT(total_resets, 0u);
+}
+
 /**
  * The p-state timeline is the most fragile part of the result (one
  * extra or reordered event shifts every later entry), so it gets a

@@ -4,10 +4,16 @@
  * placement extremes and bookkeeping invariants.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/params.hh"
+#include "obs/trace.hh"
 #include "sim/domain_sim.hh"
 #include "sim/result_io.hh"
 #include "trace/profile.hh"
@@ -215,6 +221,153 @@ TEST(SimEdge, ZeroOffsetIsNeutralApartFromImul)
     const DomainResult r = sim.run();
     EXPECT_NEAR(r.perfDelta(), 0.0, 1e-6);
     EXPECT_NEAR(r.powerDelta(), 0.0, 1e-6);
+}
+
+/** Stream position of every event: the running sum of gap + 1. */
+std::vector<std::uint64_t>
+prefixPositions(const std::vector<trace::FaultableEvent> &events)
+{
+    std::vector<std::uint64_t> positions;
+    std::uint64_t pos = 0;
+    for (const trace::FaultableEvent &e : events) {
+        pos += e.gap;
+        positions.push_back(pos);
+        ++pos;
+    }
+    return positions;
+}
+
+/** One do-trap instant: the trapping core and its stream position. */
+struct TrapAt
+{
+    int core = 0;
+    std::uint64_t index = 0;
+    bool operator==(const TrapAt &) const = default;
+};
+
+/** The unsigned integer after @p key in @p line (key must be there). */
+std::uint64_t
+argAfter(const std::string &line, const std::string &key)
+{
+    const std::size_t at = line.find(key);
+    EXPECT_NE(at, std::string::npos) << key << " in " << line;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(line.substr(at + key.size()));
+}
+
+/**
+ * Run one traced domain and return its do-trap instants in emission
+ * order: the core and the stream position the simulator put in each
+ * trap frame.
+ */
+std::vector<TrapAt>
+tracedTraps(const SimConfig &cfg, const std::vector<sim::CoreWork> &work)
+{
+    obs::TraceSession session;
+    obs::setActiveTrace(&session);
+    DomainSimulator simulator(cfg, work);
+    (void)simulator.run();
+    obs::setActiveTrace(nullptr);
+
+    std::vector<TrapAt> traps;
+    std::istringstream doc(session.render());
+    for (std::string line; std::getline(doc, line);) {
+        if (line.find("\"do-trap\"") == std::string::npos)
+            continue;
+        traps.push_back(
+            {static_cast<int>(argAfter(line, "\"core\": ")),
+             argAfter(line, "\"index\": ")});
+    }
+    return traps;
+}
+
+TEST(SimEdge, TrapFramesCarryPrefixPositionsOnBothPaths)
+{
+    // Emulation keeps the instructions disabled, so every event traps.
+    const power::CpuModel cpu = power::cpuC_xeon4208();
+    const trace::WorkloadProfile p = plainProfile(1'000'000);
+    const std::vector<trace::FaultableEvent> events = {
+        {0, isa::FaultableKind::VOR},    {7, isa::FaultableKind::VOR},
+        {1, isa::FaultableKind::AESENC}, {120, isa::FaultableKind::VOR},
+        {0, isa::FaultableKind::VXOR},   {33, isa::FaultableKind::VOR},
+        {5000, isa::FaultableKind::VOR}};
+    const trace::Trace t("traps", p.totalInstructions, p.ipc, events);
+    const std::vector<std::uint64_t> positions = {0,   8,   10,  131,
+                                                  132, 166, 5167};
+    ASSERT_EQ(prefixPositions(events), positions);
+    std::vector<TrapAt> expected;
+    for (const std::uint64_t index : positions)
+        expected.push_back({0, index});
+
+    SimConfig cfg = cfgFor(cpu);
+    cfg.mode = RunMode::Suit;
+    cfg.strategy = core::StrategyKind::Emulation;
+    for (const bool reference : {false, true}) {
+        cfg.referencePath = reference;
+        EXPECT_EQ(tracedTraps(cfg, {{&t, &p}}), expected)
+            << (reference ? "reference" : "fast");
+    }
+}
+
+TEST(SimEdge, TrapPositionsSurviveNativeWindows)
+{
+    // Three bursts of 50 events, far enough apart for the deadline to
+    // expire in between: each burst's first event traps, and the fast
+    // path consumes the rest of the burst in native windows, which
+    // must keep the stream position current.  One core runs the
+    // single-core window; CPU A's shared two-core domain runs the
+    // multi-core window, with the second core's trace shifted.
+    const trace::WorkloadProfile p = plainProfile(10'000'000'000);
+    std::vector<trace::FaultableEvent> events;
+    for (int burst = 0; burst < 3; ++burst) {
+        events.push_back({2'000'000'000, isa::FaultableKind::VOR});
+        for (int i = 1; i < 50; ++i)
+            events.push_back({100, isa::FaultableKind::AESENC});
+    }
+    std::vector<trace::FaultableEvent> shifted = events;
+    shifted[0].gap = 1'000'000'000;
+    const trace::Trace a("bursts", p.totalInstructions, p.ipc, events);
+    const trace::Trace b("shifted", p.totalInstructions, p.ipc, shifted);
+    const std::vector<std::vector<std::uint64_t>> positions = {
+        prefixPositions(events), prefixPositions(shifted)};
+
+    for (const power::CpuModel &cpu :
+         {power::cpuC_xeon4208(), power::cpuA_i9_9900k()}) {
+        std::vector<sim::CoreWork> work = {{&a, &p}};
+        if (cpu.label() == "A")
+            work.push_back({&b, &p});
+        SimConfig cfg = cfgFor(cpu);
+        cfg.mode = RunMode::Suit;
+        cfg.strategy = core::StrategyKind::CombinedFv;
+        cfg.referencePath = false;
+        const std::vector<TrapAt> fast = tracedTraps(cfg, work);
+        cfg.referencePath = true;
+        const std::vector<TrapAt> ref = tracedTraps(cfg, work);
+        EXPECT_EQ(fast, ref) << "CPU " << cpu.label();
+
+        for (std::size_t c = 0; c < work.size(); ++c) {
+            std::vector<std::uint64_t> indices;
+            for (const TrapAt &trap : fast) {
+                if (trap.core == static_cast<int>(c))
+                    indices.push_back(trap.index);
+            }
+            const std::vector<std::uint64_t> &pos = positions[c];
+            for (const std::size_t first : {0, 50, 100}) {
+                EXPECT_NE(std::find(indices.begin(), indices.end(),
+                                    pos[first]),
+                          indices.end())
+                    << "CPU " << cpu.label() << " core " << c
+                    << ": burst starting at event " << first;
+            }
+            for (const std::uint64_t index : indices) {
+                EXPECT_NE(std::find(pos.begin(), pos.end(), index),
+                          pos.end())
+                    << "CPU " << cpu.label() << " core " << c << ": "
+                    << index << " is no event's position";
+            }
+        }
+    }
 }
 
 } // namespace

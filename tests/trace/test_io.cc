@@ -165,7 +165,9 @@ TEST(TraceIo, HandBuiltBinaryBaselineParses)
     std::stringstream ss(binaryTrace(1000, 1000, 1000, 2, {10, 20}));
     const Trace t = readBinary(ss);
     EXPECT_EQ(t.eventCount(), 2u);
-    EXPECT_EQ(t.eventIndex(1), 31u);
+    // Event 1 sits at 10 + 1 + 20: the running sum of gap + 1.
+    EXPECT_EQ(t.events()[0].gap + 1 + t.events()[1].gap, 31u);
+    EXPECT_EQ(t.tailInstructions(), 1000u - 31u - 1u);
 }
 
 // Hostile inputs: each must end in fatal() (exit 1), never in an
@@ -203,12 +205,45 @@ TEST(TraceIoDeathTest, BinaryRejectsZeroWeight)
 TEST(TraceIoDeathTest, BinaryRejectsGapSumOverflow)
 {
     // Two gaps of 2^63 wrap a 64-bit running position back to 1,
-    // which would slip past a check made only at the end.
+    // which would slip past a check made only at the end.  A stream
+    // that long is refused before any gap is read...
     const std::uint64_t half = std::uint64_t{1} << 63;
     std::stringstream ss(
         binaryTrace(~std::uint64_t{0}, 1000, 1000, 2, {half, half}));
     EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "claims 18446744073709551615 instructions");
+    // ...and at the longest accepted length the per-event check
+    // still stops a gap sum that overruns the stream.
+    const std::uint64_t quarter = std::uint64_t{1} << 55;
+    std::stringstream longest(binaryTrace(kMaxTraceInstructions - 1,
+                                          1000, 1000, 2,
+                                          {quarter, quarter}));
+    EXPECT_EXIT(readBinary(longest), ::testing::ExitedWithCode(1),
                 "event 1 lies past the stream");
+}
+
+TEST(TraceIoDeathTest, BinaryRejectsStreamLengthOfTwoToThe56)
+{
+    // The count claims more events than follow: the length check must
+    // come first, before any event is read or validated.
+    std::stringstream ss(binaryTrace(kMaxTraceInstructions, 1000, 1000,
+                                     std::uint64_t{1} << 60, {10}));
+    EXPECT_EXIT(readBinary(ss), ::testing::ExitedWithCode(1),
+                "claims 72057594037927936 instructions");
+    // One below the limit is a valid stream.
+    std::stringstream ok(
+        binaryTrace(kMaxTraceInstructions - 1, 1000, 1000, 1, {10}));
+    EXPECT_EQ(readBinary(ok).totalInstructions(),
+              kMaxTraceInstructions - 1);
+}
+
+TEST(TraceIoDeathTest, TextRejectsStreamLengthOfTwoToThe56)
+{
+    std::stringstream ss("suit-trace v1\nname h\n"
+                         "instructions 72057594037927936\n"
+                         "ipc 1\nweight 1\nevents 1\n10 IMUL\n");
+    EXPECT_EXIT(readText(ss), ::testing::ExitedWithCode(1),
+                "claims 72057594037927936 instructions");
 }
 
 TEST(TraceIoDeathTest, TextRejectsHostileHeadersAndEvents)

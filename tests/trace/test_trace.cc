@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "trace/generator.hh"
 #include "trace/profile.hh"
@@ -35,6 +37,20 @@ namespace {
 using namespace suit::trace;
 using suit::isa::FaultableKind;
 
+/** Stream position of every event: the running sum of gap + 1. */
+std::vector<std::uint64_t>
+eventPositions(const Trace &t)
+{
+    std::vector<std::uint64_t> positions;
+    std::uint64_t pos = 0;
+    for (const FaultableEvent &e : t.events()) {
+        pos += e.gap;
+        positions.push_back(pos);
+        ++pos; // the faultable instruction itself
+    }
+    return positions;
+}
+
 TEST(TraceTest, EventIndicesAccumulateGaps)
 {
     const Trace t("t", 1000, 1.0,
@@ -42,10 +58,33 @@ TEST(TraceTest, EventIndicesAccumulateGaps)
                    {5, FaultableKind::AESENC},
                    {0, FaultableKind::VXOR}});
     EXPECT_EQ(t.eventCount(), 3u);
-    EXPECT_EQ(t.eventIndex(0), 10u);
-    EXPECT_EQ(t.eventIndex(1), 16u);  // 10 + 1 + 5
-    EXPECT_EQ(t.eventIndex(2), 17u);  // back to back
+    const std::vector<std::uint64_t> pos = eventPositions(t);
+    EXPECT_EQ(pos[0], 10u);
+    EXPECT_EQ(pos[1], 16u);  // 10 + 1 + 5
+    EXPECT_EQ(pos[2], 17u);  // back to back
+    // The tail starts after the last event's position.
+    EXPECT_EQ(t.tailInstructions(), 1000u - 17u - 1u);
     EXPECT_NEAR(t.faultableRate(), 3.0 / 1000.0, 1e-12);
+}
+
+TEST(TraceTest, PackedEventHoldsEveryInStreamGap)
+{
+    static_assert(sizeof(FaultableEvent) == 8);
+    const std::uint64_t max_gap = kMaxTraceInstructions - 2;
+    const FaultableEvent e{max_gap, FaultableKind::VPCLMULQDQ};
+    EXPECT_EQ(e.gap, max_gap);
+    EXPECT_EQ(e.kind, FaultableKind::VPCLMULQDQ);
+
+    // The longest stream a trace accepts, with its event at the end.
+    const Trace t("t", kMaxTraceInstructions - 1, 1.0, {e});
+    EXPECT_EQ(t.events()[0].gap, max_gap);
+    EXPECT_EQ(t.tailInstructions(), 0u);
+}
+
+TEST(TraceTest, ConstructorRejectsStreamsOfTwoToThe56)
+{
+    EXPECT_DEATH((void)Trace("huge", kMaxTraceInstructions, 1.0, {}),
+                 "needs more than 56 bits");
 }
 
 TEST(TraceTest, StatsCountKindsAndGaps)
@@ -204,8 +243,7 @@ TEST(Generator, RespectsStreamLength)
         EXPECT_EQ(t.totalInstructions(), p.totalInstructions) << name;
         ASSERT_GT(t.eventCount(), 10u) << name;
         // Events fit inside the stream.
-        EXPECT_LT(t.eventIndex(t.eventCount() - 1),
-                  t.totalInstructions())
+        EXPECT_LT(eventPositions(t).back(), t.totalInstructions())
             << name;
     }
 }
