@@ -1,6 +1,7 @@
 #include "exec/sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <exception>
 #include <mutex>
@@ -8,7 +9,7 @@
 #include "obs/flight.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
-#include "util/format.hh"
+#include "runtime/resumable.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -91,59 +92,10 @@ SweepEngine::runCells(
 {
     SUIT_ASSERT(policy.retries >= 0, "negative retry count %d",
                 policy.retries);
-    const suit::runtime::CheckpointPolicy &ckpt = ctx.checkpoint;
-    if (ckpt.resume && ckpt.path.empty())
-        throw JournalError("resume requires a checkpoint path");
-
     SweepOutcome out;
     out.results.resize(n);
     out.done.assign(n, 0);
 
-    CheckpointJournal journal;
-    if (!ckpt.path.empty()) {
-        std::vector<CellRecord> seed;
-        if (ckpt.resume) {
-            JournalContents loaded =
-                CheckpointJournal::load(ckpt.path);
-            if (!(loaded.fingerprint == fingerprint))
-                throw JournalError(suit::util::sformat(
-                    "checkpoint '%s' belongs to a different grid "
-                    "(journal: %llu cells, fingerprint %016llx; this "
-                    "run: %llu cells, fingerprint %016llx) — "
-                    "refusing to mix results",
-                    ckpt.path.c_str(),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.cells),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.hash),
-                    static_cast<unsigned long long>(fingerprint.cells),
-                    static_cast<unsigned long long>(fingerprint.hash)));
-            if (loaded.droppedBytes != 0)
-                suit::util::warn(
-                    "checkpoint '%s': dropped %zu trailing bytes of "
-                    "a torn record; the affected cell will re-run",
-                    ckpt.path.c_str(), loaded.droppedBytes);
-            // Completed cells seed the results; failed records are
-            // dropped so the resume re-attempts those cells.
-            for (CellRecord &record : loaded.records) {
-                if (record.failed || record.index >= n ||
-                    out.done[record.index])
-                    continue;
-                out.results[record.index] = std::move(record.result);
-                out.done[record.index] = 1;
-                ++out.restored;
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (out.done[i])
-                    seed.push_back({i, false, "", out.results[i], false, ""});
-            }
-        }
-        journal.start(ckpt.path, fingerprint, std::move(seed));
-        journal.setFlushInterval(ckpt.flushInterval);
-    }
-
-    std::atomic<std::size_t> executed{0};
-    std::atomic<std::size_t> skipped{0};
     std::atomic<std::uint64_t> retried{0};
     std::mutex failures_mu;
     std::vector<CellFailure> failures;
@@ -151,15 +103,10 @@ SweepEngine::runCells(
     // Latched by the RunContext at its construction: workers observe
     // the same session, so pool and serial mode trace identically.
     obs::TraceSession *const trace = ctx.trace();
-    const suit::runtime::CancelToken &token = ctx.token();
+    // Without a journal the record is dropped unread: skip its copy.
+    const bool journaled = !ctx.checkpoint.path.empty();
 
     const auto runOne = [&](std::size_t i) {
-        if (out.done[i])
-            return; // restored from the journal
-        if (token.cancelled()) {
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
         obs::FlightSpan span("sweep.cell", "exec");
         const double cell_start = trace ? trace->hostNowUs() : 0.0;
         const int attempts = policy.retries + 1;
@@ -172,16 +119,10 @@ SweepEngine::runCells(
             try {
                 out.results[i] = cell(i);
                 out.done[i] = 1;
-                executed.fetch_add(1, std::memory_order_relaxed);
-                journal.append({i, false, "", out.results[i], false, ""});
                 error = nullptr;
                 break;
             } catch (const suit::runtime::Cancelled &) {
-                // The token tripped mid-cell: the cell never ran as
-                // far as the journal and the outcome are concerned —
-                // a resume recomputes it from scratch, bit-identical.
-                skipped.fetch_add(1, std::memory_order_relaxed);
-                return;
+                throw; // skipped by the run core, never retried
             } catch (...) {
                 error = std::current_exception();
             }
@@ -196,38 +137,46 @@ SweepEngine::runCells(
                  {"attempts", attempts_made},
                  {"ok", error ? 0 : 1}});
         }
+        CellRecord record;
+        record.index = i;
         if (error) {
             if (policy.strict)
                 std::rethrow_exception(error);
-            const std::string what = describeException(error);
-            {
-                std::lock_guard lock(failures_mu);
-                failures.push_back({i, "", what, attempts});
-            }
-            journal.append({i, true, what, {}, false, ""});
+            record.failed = true;
+            record.error = describeException(error);
+            std::lock_guard lock(failures_mu);
+            failures.push_back({i, "", record.error, attempts});
+        } else if (journaled) {
+            record.result = out.results[i];
         }
         if (policy.onCellDone)
             policy.onCellDone(i);
+        return record;
+    };
+    // Only DomainResult records belong to a sweep journal; anything
+    // else (a fleet blob) is rejected and the cell re-runs.
+    const auto restore = [&](const CellRecord &record) {
+        if (record.isBlob)
+            return false;
+        out.results[record.index] = record.result;
+        out.done[record.index] = 1;
+        return true;
     };
 
-    if (ThreadPool *pool = session_.pool()) {
-        pool->parallelFor(n, runOne);
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            runOne(i);
-    }
-    // Land any batch tail now (including after a cancellation), so
-    // every completed cell is on disk for a resume.
-    journal.flush();
+    const suit::runtime::ResumableCounts counts =
+        suit::runtime::runResumable(
+            session_, ctx,
+            {n, fingerprint, "grid", "cell", runOne, restore});
 
-    out.executed = executed.load();
-    out.skipped = skipped.load();
-    out.interrupted = token.cancelled();
     std::sort(failures.begin(), failures.end(),
               [](const CellFailure &a, const CellFailure &b) {
                   return a.index < b.index;
               });
     out.failures = std::move(failures);
+    out.executed = counts.executed - out.failures.size();
+    out.restored = counts.restored;
+    out.skipped = counts.skipped;
+    out.interrupted = counts.interrupted;
 
     obs::Registry &reg = obs::metrics();
     if (reg.enabled()) {

@@ -24,9 +24,11 @@
  * A serial Session (jobs == 1, no pool) runs the jobs inline: the
  * serial reference path used by the determinism tests.  Per-run
  * state — cancellation, deadline, journal policy — arrives through a
- * runtime::RunContext; a tripped token skips unstarted cells and
- * aborts in-flight cells mid-simulation (runtime::Cancelled), which
- * the engine accounts as skipped, never as failed or journaled.
+ * runtime::RunContext, and the cell loop is runtime::runResumable(),
+ * the journaled core the fleet engine runs on too: a tripped token
+ * skips unstarted cells and aborts in-flight cells mid-simulation
+ * (runtime::Cancelled), which count as skipped, never as failed or
+ * journaled.
  */
 
 #ifndef SUIT_EXEC_SWEEP_HH

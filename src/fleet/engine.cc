@@ -9,12 +9,11 @@
 
 #include "core/params.hh"
 #include "exec/checkpoint.hh"
-#include "exec/thread_pool.hh"
 #include "obs/flight.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "runtime/resumable.hh"
 #include "sim/domain_sim.hh"
-#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace suit::fleet {
@@ -162,66 +161,10 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
     // Index-addressed shard slots; merged in shard order at the end.
     std::vector<std::optional<FleetAccumulator>> slots(shards);
 
-    const suit::exec::GridFingerprint fingerprint{
-        shards, journalFingerprint(shard_size)};
-
-    const suit::runtime::CheckpointPolicy &ckpt = ctx.checkpoint;
-    suit::exec::CheckpointJournal journal;
-    if (!ckpt.path.empty()) {
-        std::vector<suit::exec::CellRecord> seed;
-        if (ckpt.resume) {
-            const suit::exec::JournalContents loaded =
-                suit::exec::CheckpointJournal::load(ckpt.path);
-            if (loaded.fingerprint != fingerprint) {
-                throw suit::exec::JournalError(suit::util::sformat(
-                    "checkpoint '%s' belongs to a different fleet "
-                    "(fingerprint %016llx/%llu cells, expected "
-                    "%016llx/%llu)",
-                    ckpt.path.c_str(),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.hash),
-                    static_cast<unsigned long long>(
-                        loaded.fingerprint.cells),
-                    static_cast<unsigned long long>(fingerprint.hash),
-                    static_cast<unsigned long long>(
-                        fingerprint.cells)));
-            }
-            if (loaded.droppedBytes != 0)
-                suit::util::warn(
-                    "checkpoint '%s': dropped %zu trailing bytes of "
-                    "a torn record; the affected shard will re-run",
-                    ckpt.path.c_str(), loaded.droppedBytes);
-            for (const suit::exec::CellRecord &record :
-                 loaded.records) {
-                if (!record.isBlob || record.index >= shards ||
-                    slots[record.index].has_value())
-                    continue;
-                FleetAccumulator acc;
-                std::size_t offset = 0;
-                if (!acc.deserialize(record.blob.data(),
-                                     record.blob.size(), offset) ||
-                    offset != record.blob.size() ||
-                    acc.rackCount() != spec_.racks.size()) {
-                    suit::util::warn(
-                        "checkpoint '%s': shard %llu record is "
-                        "malformed; the shard will re-run",
-                        ckpt.path.c_str(),
-                        static_cast<unsigned long long>(
-                            record.index));
-                    continue;
-                }
-                slots[record.index] = std::move(acc);
-                ++out.shardsRestored;
-                seed.push_back(record);
-            }
-        }
-        journal.start(ckpt.path, fingerprint, std::move(seed));
-        journal.setFlushInterval(ckpt.flushInterval);
-    }
-
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> skipped{0};
     std::atomic<std::uint64_t> domains_simulated{0};
+    // Without a journal the record is dropped unread: the shard's
+    // accumulator is serialized only when a journal is active.
+    const bool journaled = !ctx.checkpoint.path.empty();
 
     // Latched by the RunContext: workers trace into the same session.
     suit::obs::TraceSession *const trace = ctx.trace();
@@ -277,12 +220,6 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
     };
 
     const auto runOne = [&](std::size_t shard) {
-        if (slots[shard].has_value())
-            return; // restored from the journal
-        if (token.cancelled()) {
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
         suit::obs::FlightSpan span("fleet.shard", "fleet");
         const double trace_start =
             trace ? trace->hostNowUs() : 0.0;
@@ -301,26 +238,16 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
         for (std::uint64_t i = 0; i < count; ++i)
             block.push_back(spec_.domainAt(first + i));
 
+        // A Cancelled throw discards the partial accumulator; the run
+        // core accounts the shard as skipped.
         FleetAccumulator acc(spec_.racks.size());
-        try {
-            for (const DomainConfig &config : block)
-                simulateDomain(config, acc, &token);
-        } catch (const suit::runtime::Cancelled &) {
-            // The token tripped mid-shard: the partial accumulator
-            // is discarded and the shard accounted as skipped, so a
-            // resume recomputes it whole, bit-identical.
-            skipped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
+        for (const DomainConfig &config : block)
+            simulateDomain(config, acc, &token);
 
-        if (journal.active()) {
-            std::string bytes;
+        std::string bytes;
+        if (journaled)
             acc.serialize(bytes);
-            journal.append(suit::exec::CellRecord::blobRecord(
-                shard, std::move(bytes)));
-        }
         slots[shard] = std::move(acc);
-        executed.fetch_add(1, std::memory_order_relaxed);
         domains_simulated.fetch_add(count,
                                     std::memory_order_relaxed);
 
@@ -343,21 +270,32 @@ FleetEngine::run(suit::runtime::RunContext &ctx,
         }
         if (options.onShardDone)
             options.onShardDone(shard);
+        return suit::exec::CellRecord::blobRecord(shard,
+                                                  std::move(bytes));
+    };
+    const auto restore = [&](const suit::exec::CellRecord &record) {
+        FleetAccumulator acc;
+        std::size_t offset = 0;
+        if (!record.isBlob ||
+            !acc.deserialize(record.blob.data(), record.blob.size(),
+                             offset) ||
+            offset != record.blob.size() ||
+            acc.rackCount() != spec_.racks.size())
+            return false;
+        slots[record.index] = std::move(acc);
+        return true;
     };
 
-    if (suit::exec::ThreadPool *pool = session_.pool()) {
-        pool->parallelFor(static_cast<std::size_t>(shards), runOne);
-    } else {
-        for (std::size_t shard = 0; shard < shards; ++shard)
-            runOne(shard);
-    }
-    // Land any batch tail now (including after a cancellation), so
-    // every completed shard is on disk for a resume.
-    journal.flush();
-
-    out.shardsRun = executed.load();
-    out.shardsSkipped = skipped.load();
-    out.interrupted = token.cancelled();
+    const suit::runtime::ResumableCounts counts =
+        suit::runtime::runResumable(
+            session_, ctx,
+            {static_cast<std::size_t>(shards),
+             {shards, journalFingerprint(shard_size)}, "fleet",
+             "shard", runOne, restore});
+    out.shardsRun = counts.executed;
+    out.shardsRestored = counts.restored;
+    out.shardsSkipped = counts.skipped;
+    out.interrupted = counts.interrupted;
 
     // Merge in shard order.  ExactSum makes the value() bits
     // independent of the grouping anyway; the fixed order makes even

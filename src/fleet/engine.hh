@@ -26,10 +26,10 @@
  * accumulator, fingerprinted by (spec fingerprint, shard size).  A
  * killed run resumes by restoring finished shards bit-for-bit and
  * running only the rest — the final aggregate is identical to an
- * uninterrupted run.  The journal path/resume flag and cancellation
- * (SIGINT link, wall-clock deadline) arrive through the same
- * runtime::RunContext the sweep engine uses; a shard aborted
- * mid-flight by the token is accounted as skipped, never journaled.
+ * uninterrupted run.  The shard loop itself — journal, resume,
+ * cancellation — is runtime::runResumable(), the core the sweep
+ * engine runs on too; a shard aborted mid-flight by the token is
+ * accounted as skipped, never journaled.
  */
 
 #ifndef SUIT_FLEET_ENGINE_HH

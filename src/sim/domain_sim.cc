@@ -31,17 +31,11 @@ constexpr std::uint32_t kCancelPollInterval = 4096;
 
 /**
  * Min-reduction over the arrival row: the index of the earliest
- * arrival, ties to the lowest core (a strict < scan).  Narrow
- * domains inline the branch-free scalar scan; wide rows — or a
- * forced emu::ScanImpl::Vector toggle — go through the emu kernel.
- * @p fn_scan is hoisted per run/window so the per-event cost is one
- * predictable branch.
+ * arrival, ties to the lowest core (a strict < scan), branch-free.
  */
 inline std::size_t
-scanArrivals(const Tick *arrival, std::size_t n, bool fn_scan)
+scanArrivals(const Tick *arrival, std::size_t n)
 {
-    if (fn_scan)
-        return suit::emu::minIndexU64(arrival, n);
     std::size_t win = 0;
     Tick best = arrival[0];
     for (std::size_t i = 1; i < n; ++i) {
@@ -50,14 +44,6 @@ scanArrivals(const Tick *arrival, std::size_t n, bool fn_scan)
         best = a < best ? a : best;
     }
     return win;
-}
-
-/** Should arrival scans call the emu kernel for @p n lanes? */
-inline bool
-useFnScan(std::size_t n)
-{
-    return n >= suit::emu::kVectorScanMinLanes ||
-           suit::emu::arrivalScanImpl() == suit::emu::ScanImpl::Vector;
 }
 
 /**
@@ -804,7 +790,6 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
     // every core and the per-core progress interval equals the shared
     // dt — the per-lane clip below vanishes.
     const bool plain = !stalls_possible && !has_pending;
-    const bool fn_scan = useFnScan(n);
     // As in runNativeWindowSingle(): the accumulators and the timer's
     // expiry live in locals and are written back once per window.
     double power_s = powerIntegralS_;
@@ -838,7 +823,7 @@ DomainSimulator::runNativeWindowMulti(std::uint64_t &budget)
         }
         // (2) Min-reduction over the arrival row; ties pick the
         // lowest core index, like the generic scan's strict <.
-        const std::size_t win = scanArrivals(arrival, n, fn_scan);
+        const std::size_t win = scanArrivals(arrival, n);
         const Tick m = arrival[win];
         // (3) Stop where another event source outranks the winning
         // core (tie order: transitions > timers > cores), or where
@@ -1024,7 +1009,6 @@ DomainSimulator::runFast(DomainResult &out)
     // domains run the generalised window that replays the reference
     // progress interleaving per event (see DESIGN.md).
     const bool single_core = nCores_ == 1;
-    const bool fn_scan = useFnScan(nCores_);
 
     std::uint32_t cancel_countdown = kCancelPollInterval;
     while (active > 0) {
@@ -1061,7 +1045,7 @@ DomainSimulator::runFast(DomainResult &out)
         }
         refreshArrivals();
         const std::size_t ci =
-            scanArrivals(arrival_.data(), nCores_, fn_scan);
+            scanArrivals(arrival_.data(), nCores_);
         if (arrival_[ci] < best) {
             best = arrival_[ci];
             kind = 2;

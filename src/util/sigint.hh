@@ -2,8 +2,8 @@
  * @file
  * RAII SIGINT plumbing for graceful-stop CLIs.
  *
- * The long-running tools (suit_sweep, suit_fleet, suit_sim suite
- * mode, suit_characterize) share one Ctrl-C contract: the first
+ * The long-running tools (suit_sweep, suit_fleet,
+ * suit_characterize) share one Ctrl-C contract: the first
  * SIGINT raises a stop flag the run's cancellation token observes
  * (runtime::CancelToken::linkExternal), so in-flight work settles
  * and journaled state stays valid; a second SIGINT

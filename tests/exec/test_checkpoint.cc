@@ -431,6 +431,33 @@ TEST(SweepEngine, ResumeWithoutPathIsAnError)
                  JournalError);
 }
 
+TEST(SweepEngine, ResumeRerunsACellWhoseRecordIsABlob)
+{
+    // A blob record (a fleet shard's payload) holds no DomainResult:
+    // adopting it would report a zeroed cell as finished.
+    ScratchFile file("blob.bin");
+    {
+        CheckpointJournal journal;
+        journal.start(file.path(), {2, 1});
+        journal.append(CellRecord::blobRecord(0, "garbage"));
+    }
+    runtime::Session session({1, 0});
+    SweepEngine engine(session);
+    runtime::RunContext ctx;
+    ctx.checkpoint.path = file.path();
+    ctx.checkpoint.resume = true;
+    const SweepOutcome out = engine.runCells(
+        2,
+        [](std::size_t i) {
+            return makeResult(1.0 + static_cast<double>(i));
+        },
+        ctx, {}, {2, 1});
+    EXPECT_TRUE(out.complete());
+    EXPECT_EQ(out.restored, 0u);
+    EXPECT_EQ(out.executed, 2u);
+    expectIdentical(out.results[0], makeResult(1.0));
+}
+
 TEST(SweepEngine, RetriesEventuallySucceed)
 {
     runtime::Session session({1, 0});

@@ -334,6 +334,15 @@ TEST(FleetEngine, RefusesAForeignJournal)
                  exec::JournalError);
 }
 
+TEST(FleetEngine, ResumeWithoutPathIsAnError)
+{
+    runtime::Session session({1, 0});
+    runtime::RunContext ctx;
+    ctx.checkpoint.resume = true;
+    FleetEngine engine(session, testSpec());
+    EXPECT_THROW(engine.run(ctx), exec::JournalError);
+}
+
 TEST(FleetEngine, PreTrippedTokenSkipsEverything)
 {
     runtime::Session session({2, 0});

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "core/params.hh"
-#include "emu/simd_ops.hh"
 #include "exec/sweep.hh"
 #include "obs/registry.hh"
 #include "sim/domain_sim.hh"
@@ -145,27 +144,11 @@ TEST(GoldenIdentity, FastPathMatchesReferenceAcrossMatrix)
     EXPECT_EQ(checked, 3 * 2 * 2 * 7 * 2);
 }
 
-/** RAII: force one arrival-scan implementation, restore the old one. */
-struct ScanImplGuard
-{
-    explicit ScanImplGuard(emu::ScanImpl impl)
-        : prev_(emu::arrivalScanImpl())
-    {
-        emu::setArrivalScanImpl(impl);
-    }
-    ~ScanImplGuard() { emu::setArrivalScanImpl(prev_); }
-
-    emu::ScanImpl prev_;
-};
-
 /**
- * Multi-core batched native windows across both arrival-scan
- * implementations.  Core counts 8 and 12 push the row length past
- * kVectorScanMinLanes so the minIndexU64() kernel (AVX2 where
- * available) runs inside the window loop; 12 is not a multiple of
- * four, so the vector kernel's scalar tail executes too.  The mode
- * cases pick the window flavours apart: Baseline batches whole
- * traces, Emulation stalls cores in-window (resume starts), and the
+ * Multi-core batched native windows against the reference loop, with
+ * arrival-scan rows from 2 to 12 cores wide.  The mode cases pick
+ * the window flavours apart: Baseline batches whole traces,
+ * Emulation stalls cores in-window (resume starts), and the
  * CombinedFv/Hybrid strategies leave transitions pending across
  * windows (runUntil caps).
  */
@@ -199,22 +182,9 @@ TEST(GoldenIdentity, MultiCoreBatchedWindowsAcrossScanImpls)
                 cfg.referencePath = true;
                 const std::string ref = resultBytes(cfg, p, traces);
                 cfg.referencePath = false;
-                std::string scalar_bytes;
-                std::string vector_bytes;
-                {
-                    ScanImplGuard guard(emu::ScanImpl::Scalar);
-                    scalar_bytes = resultBytes(cfg, p, traces);
-                }
-                {
-                    ScanImplGuard guard(emu::ScanImpl::Vector);
-                    vector_bytes = resultBytes(cfg, p, traces);
-                }
-                ASSERT_EQ(scalar_bytes, ref)
-                    << "scalar scan, cores=" << cores << " "
-                    << mc.label << " " << p.name;
-                ASSERT_EQ(vector_bytes, ref)
-                    << "vector scan, cores=" << cores << " "
-                    << mc.label << " " << p.name;
+                ASSERT_EQ(resultBytes(cfg, p, traces), ref)
+                    << "cores=" << cores << " " << mc.label << " "
+                    << p.name;
                 ++checked;
             }
         }

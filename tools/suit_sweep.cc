@@ -34,7 +34,6 @@
  *              --out s.csv                   # after an interruption
  */
 
-#include <atomic>
 #include <climits>
 #include <cstdio>
 #include <string>
@@ -47,15 +46,13 @@
 #include "obs/registry.hh"
 #include "obs/setup.hh"
 #include "power/cpu_model.hh"
-#include "runtime/run_context.hh"
-#include "runtime/session.hh"
+#include "runtime/cli.hh"
 #include "sim/evaluation.hh"
 #include "sim/trace_cache.hh"
 #include "trace/profile.hh"
 #include "util/args.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
-#include "util/sigint.hh"
 
 namespace {
 
@@ -195,39 +192,13 @@ main(int argc, char **argv)
                    "repetitions per cell with derived seeds");
     args.addOption("seed", "1", "root seed of the grid");
     args.addOption("out", "-", "output CSV file ('-' = stdout)");
-    args.addOption("jobs", "0",
-                   "parallel sweep workers (0 = hardware threads, "
-                   "1 = serial reference)");
-    args.addFlag("pin",
-                 "pin each worker thread to a CPU (cache locality "
-                 "on dedicated machines; unsupported platforms warn "
-                 "and continue unpinned)");
-    args.addOption("checkpoint", "",
-                   "journal completed cells to this file "
-                   "(crash-safe)");
-    args.addOption("checkpoint-flush", "1",
-                   "flush the checkpoint journal every N cells "
-                   "(1 = after every cell; larger batches trade "
-                   "re-running at most N-1 cells after a crash for "
-                   "fewer fsyncs)");
-    args.addFlag("resume",
-                 "load the --checkpoint journal and run only the "
-                 "missing cells");
+    runtime::addRunOptions(args);
     args.addOption("retries", "0",
                    "re-attempts for a failing cell before recording "
                    "it as failed");
     args.addFlag("strict",
                  "fail fast: abort the sweep on the first cell "
                  "failure");
-    args.addOption("stop-after", "0",
-                   "stop gracefully after N completed cells (testing "
-                   "aid; 0 = run to completion)");
-    args.addOption("deadline-s", "0",
-                   "wall-clock budget in seconds; on expiry the "
-                   "sweep stops gracefully like Ctrl-C (0 = none)");
-    args.addOption("trace-cache-mb", "256",
-                   "trace cache capacity in MiB (CLOCK eviction above "
-                   "it)");
     args.addFlag("nosimd", "model binaries compiled without SIMD");
     obs::addCliOptions(args);
     if (!args.parse(argc, argv))
@@ -258,17 +229,6 @@ main(int argc, char **argv)
     if (cpus.empty() || profiles.empty() || core_list.empty() ||
         strategy_list.empty() || offset_list.empty() || reps < 1)
         util::fatal("every grid axis needs at least one value");
-
-    const long retries = args.getIntInRange("retries", 0, INT_MAX);
-    const long stop_after =
-        args.getIntInRange("stop-after", 0, LONG_MAX);
-    const double deadline_s = args.getDouble("deadline-s");
-    if (deadline_s < 0.0)
-        util::fatal("--deadline-s must be >= 0, got %g", deadline_s);
-    const long cache_mb =
-        args.getIntInRange("trace-cache-mb", 1, 1 << 20);
-    if (args.getFlag("resume") && args.get("checkpoint").empty())
-        util::fatal("--resume needs --checkpoint <path>");
 
     // Enumerate the grid in deterministic nested order.
     std::vector<SweepJob> jobs;
@@ -306,47 +266,21 @@ main(int argc, char **argv)
         }
     }
 
+    runtime::CliRun run(args, obs_scope);
     util::inform("suit_sweep: %zu cells on %s", jobs.size(),
                  args.get("jobs") == "1" ? "1 worker (serial)"
                                          : "parallel workers");
 
-    // First Ctrl-C: graceful stop; second: immediate kill.
-    util::SigintGuard sigint;
-    std::atomic<std::size_t> completed{0};
-
     exec::RunPolicy policy;
-    policy.retries = static_cast<int>(retries);
+    policy.retries =
+        static_cast<int>(args.getIntInRange("retries", 0, INT_MAX));
     policy.strict = args.getFlag("strict");
-    if (stop_after > 0) {
-        policy.onCellDone = [&, stop_after](std::size_t) {
-            if (completed.fetch_add(1) + 1 >=
-                static_cast<std::size_t>(stop_after))
-                sigint.request();
-        };
-    }
+    policy.onCellDone = run.stopAfterHook();
 
-    runtime::SessionConfig session_cfg;
-    session_cfg.jobs =
-        static_cast<int>(args.getIntInRange("jobs", 0, INT_MAX));
-    session_cfg.traceCacheBytes =
-        static_cast<std::size_t>(cache_mb) << 20;
-    session_cfg.pinWorkers = args.getFlag("pin");
-    session_cfg.telemetry = obs_scope.telemetryConfig();
-    runtime::Session session(session_cfg);
-    obs_scope.attachTelemetry(session.telemetry());
-    runtime::RunContext ctx;
-    ctx.checkpoint.path = args.get("checkpoint");
-    ctx.checkpoint.resume = args.getFlag("resume");
-    ctx.checkpoint.flushInterval = static_cast<int>(
-        args.getIntInRange("checkpoint-flush", 1, INT_MAX));
-    ctx.token().linkExternal(sigint.flag());
-    if (deadline_s > 0.0)
-        ctx.setDeadlineAfter(deadline_s);
-
-    SweepEngine engine(session);
+    SweepEngine engine(run.session());
     exec::SweepOutcome outcome;
     try {
-        outcome = engine.run(jobs, ctx, policy);
+        outcome = engine.run(jobs, run.context(), policy);
     } catch (const exec::JournalError &e) {
         util::fatal("%s", e.what());
     }
@@ -424,18 +358,7 @@ main(int argc, char **argv)
                          meta[f.index].seed),
                      f.error.c_str(), f.attempts,
                      f.attempts == 1 ? "" : "s");
-    if (outcome.interrupted) {
-        obs_scope.noteInterruption(
-            sigint.requested() ? "sigint" : "deadline");
-        std::fprintf(stderr,
-                     "sweep interrupted: %zu cell%s not run; "
-                     "re-run with --checkpoint %s --resume to "
-                     "finish\n",
-                     outcome.skipped, outcome.skipped == 1 ? "" : "s",
-                     ctx.checkpoint.path.empty()
-                         ? "<path>"
-                         : ctx.checkpoint.path.c_str());
-        return 130;
-    }
+    if (outcome.interrupted)
+        return run.interrupted("sweep", outcome.skipped, "cell");
     return outcome.failures.empty() ? 0 : 2;
 }
